@@ -118,9 +118,17 @@ type GenOptions struct {
 	Contention bool
 
 	// Parallelism bounds the number of concurrently simulated
-	// benchmarks; 0 means a sensible default.
+	// benchmarks; 0 means defaultParallelism.
 	Parallelism int
 }
+
+// defaultParallelism is the generation worker count when GenOptions
+// leaves it zero. Work is scheduled per benchmark and benchmarks differ
+// in size, so more workers than cores can pack the imbalanced load
+// better; matching the core count gained nothing on a 2-vCPU host
+// (CPU2006 plus OMP2001 generated in 10.3-11.0 s at 8 workers against
+// 10.7-11.3 s at 2).
+const defaultParallelism = 8
 
 // DefaultGenOptions returns the configuration used by the experiment
 // harness: large enough for stable statistics, small enough to regenerate
@@ -132,7 +140,7 @@ func DefaultGenOptions() GenOptions {
 		WarmupOps:           30000,
 		Seed:                20080419, // ISPASS 2008
 		Multiplex:           true,
-		Parallelism:         8,
+		Parallelism:         defaultParallelism,
 	}
 }
 
@@ -163,7 +171,7 @@ func GenerateContext(ctx context.Context, s *Suite, opts GenOptions) (*dataset.D
 	}
 	par := opts.Parallelism
 	if par <= 0 {
-		par = 8
+		par = defaultParallelism
 	}
 	rec := obs.FromContext(ctx)
 	sctx, span := rec.StartSpan(ctx, "suites.generate",

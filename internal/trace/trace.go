@@ -178,7 +178,7 @@ const pageSize = 4096
 // Generator produces the op stream of one phase.
 type Generator struct {
 	phase Phase
-	rng   *dataset.RNG
+	rng   dataset.RNG // owned by value: no pointer chase per draw
 
 	dataBase uint64 // base virtual address of the data region
 	codeBase uint64
@@ -236,7 +236,10 @@ func (r *ring) pick(rng *dataset.RNG) (storeRec, bool) {
 }
 
 // NewGenerator builds a generator over the phase. The phase must be
-// valid (see Validate); an invalid phase yields an error.
+// valid (see Validate); an invalid phase yields an error. The generator
+// draws its branch sites from rng and then copies rng's state: Next
+// advances only that copy, never the caller's rng, so callers pass a
+// fresh stream (NewRNG or Fork) per generator.
 func NewGenerator(phase Phase, rng *dataset.RNG) (*Generator, error) {
 	return NewGeneratorSlot(phase, rng, 0)
 }
@@ -244,7 +247,8 @@ func NewGenerator(phase Phase, rng *dataset.RNG) (*Generator, error) {
 // NewGeneratorSlot is NewGenerator with the data region placed at a
 // distinct virtual base per slot, so multiple simulated threads (OMP
 // workers on a shared cache) operate on disjoint data slices as real
-// parallel loops do.
+// parallel loops do. Like NewGenerator, it copies rng's state after
+// drawing the branch sites, and Next never advances the caller's rng.
 func NewGeneratorSlot(phase Phase, rng *dataset.RNG, slot int) (*Generator, error) {
 	if err := phase.Validate(); err != nil {
 		return nil, err
@@ -272,7 +276,6 @@ func NewGeneratorSlot(phase Phase, rng *dataset.RNG, slot int) (*Generator, erro
 	}
 	g := &Generator{
 		phase:    phase,
-		rng:      rng,
 		dataBase: 0x10_0000_0000 + uint64(slot)*0x40_0000_0000,
 		codeBase: 0x40_0000, // code is shared between threads, as in OMP
 	}
@@ -289,6 +292,7 @@ func NewGeneratorSlot(phase Phase, rng *dataset.RNG, slot int) (*Generator, erro
 		g.branchBias[i] = bias*(1-phase.BranchEntropy) + 0.5*phase.BranchEntropy
 		g.branchPCs[i] = g.codeBase + uint64(rng.Intn(phase.CodeFootprint))&^3
 	}
+	g.rng = *rng
 	return g, nil
 }
 
@@ -405,7 +409,7 @@ func (g *Generator) genLoad(pc uint64) Op {
 	op := Op{Kind: Load, PC: pc, Size: g.accessSize(), AliasDist: -1}
 	p := &g.phase
 	if g.rng.Float64() < p.StoreAliasRate {
-		if st, ok := g.recentStores.pick(g.rng); ok {
+		if st, ok := g.recentStores.pick(&g.rng); ok {
 			dist := g.opCount - st.op
 			op.Addr = st.addr
 			op.Size = st.size

@@ -15,6 +15,7 @@ package uarch
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -22,17 +23,19 @@ import (
 // only tags (contents are irrelevant to event generation).
 type Cache struct {
 	lineShift uint
+	tagShift  uint // bits of the line number that select the set
 	setMask   uint64
 	ways      int
-	tags      []uint64 // sets*ways entries; tag 0 means empty (valid bit below)
-	valid     []bool
+	tags      []uint64 // sets*ways entries holding tag+1; 0 marks an empty way
 	used      []uint64 // LRU stamps
 	tick      uint64
+	last      uint64 // line+1 of the previous access; 0 when there is none
 }
 
 // NewCache builds a cache of the given total size, associativity, and
-// line size. Size must be divisible by ways*line and the set count must be
-// a power of two.
+// line size. Size must be divisible by ways*line, the set count must be a
+// power of two, and lines must be at least 2 bytes (so every tag leaves
+// room for the empty marker).
 func NewCache(sizeBytes, ways, lineBytes int) (*Cache, error) {
 	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 {
 		return nil, errors.New("uarch: cache dimensions must be positive")
@@ -44,15 +47,15 @@ func NewCache(sizeBytes, ways, lineBytes int) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("uarch: set count %d is not a power of two", sets)
 	}
-	if lineBytes&(lineBytes-1) != 0 {
-		return nil, fmt.Errorf("uarch: line size %d is not a power of two", lineBytes)
+	if lineBytes < 2 || lineBytes&(lineBytes-1) != 0 {
+		return nil, fmt.Errorf("uarch: line size %d is not a power of two of at least 2", lineBytes)
 	}
 	return &Cache{
 		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
+		tagShift:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:   uint64(sets - 1),
 		ways:      ways,
 		tags:      make([]uint64, sets*ways),
-		valid:     make([]bool, sets*ways),
 		used:      make([]uint64, sets*ways),
 	}, nil
 }
@@ -62,28 +65,40 @@ func (c *Cache) LineBytes() int { return 1 << c.lineShift }
 
 // Access looks up the line containing addr, inserting it on a miss
 // (evicting the LRU way). It reports whether the access hit.
+//
+// A repeat of the previous access's line hits without touching the LRU
+// state: that line is already the most recent way of its set, and stamps
+// are unique, so skipping its tick and stamp leaves every set's LRU order
+// exactly as a full lookup would.
 func (c *Cache) Access(addr uint64) bool {
-	c.tick++
 	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	tag := line >> bits.Len64(c.setMask)
-	base := set * c.ways
-	lruIdx, lruStamp := base, c.used[base]
-	for i := base; i < base+c.ways; i++ {
-		if c.valid[i] && c.tags[i] == tag {
-			c.used[i] = c.tick
+	if line+1 == c.last {
+		return true
+	}
+	c.last = line + 1
+	c.tick++
+	base := int(line&c.setMask) * c.ways
+	tags := c.tags[base : base+c.ways]
+	used := c.used[base : base+c.ways]
+	tag := line>>c.tagShift + 1
+	for i, t := range tags {
+		if t == tag {
+			used[i] = c.tick
 			return true
 		}
-		if !c.valid[i] {
-			// Prefer filling an invalid way.
-			lruIdx, lruStamp = i, 0
-		} else if c.used[i] < lruStamp {
-			lruIdx, lruStamp = i, c.used[i]
+	}
+	// Victim: the last empty way in scan order, otherwise the way with
+	// the strictly lowest stamp.
+	victim, oldest := 0, used[0]
+	for i, t := range tags {
+		if t == 0 {
+			victim, oldest = i, 0
+		} else if used[i] < oldest {
+			victim, oldest = i, used[i]
 		}
 	}
-	c.tags[lruIdx] = tag
-	c.valid[lruIdx] = true
-	c.used[lruIdx] = c.tick
+	tags[victim] = tag
+	used[victim] = c.tick
 	return false
 }
 
@@ -98,18 +113,16 @@ func (c *Cache) Splits(addr uint64, size uint32) bool {
 
 // Reset invalidates the entire cache.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.used[i] = 0
-	}
+	clear(c.tags)
+	clear(c.used)
 	c.tick = 0
+	c.last = 0
 }
 
 // TLB is a set-associative translation buffer over fixed-size pages,
-// implemented as a Cache whose "lines" are pages.
+// implemented as a Cache whose lines are pages.
 type TLB struct {
-	c         *Cache
-	pageShift uint
+	c *Cache
 }
 
 // NewTLB builds a TLB with the given number of entries, associativity,
@@ -118,32 +131,26 @@ func NewTLB(entries, ways, pageBytes int) (*TLB, error) {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		return nil, fmt.Errorf("uarch: TLB entries %d not divisible by ways %d", entries, ways)
 	}
-	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
-		return nil, fmt.Errorf("uarch: page size %d is not a power of two", pageBytes)
+	if pageBytes < 2 || pageBytes&(pageBytes-1) != 0 {
+		return nil, fmt.Errorf("uarch: page size %d is not a power of two of at least 2", pageBytes)
 	}
-	// Reuse Cache with line = 1 "byte" over page numbers: we build a cache
-	// of entries sets*ways with line size 1 and feed it page numbers.
-	c, err := NewCache(entries, ways, 1)
+	if pageBytes > math.MaxInt/entries {
+		return nil, fmt.Errorf("uarch: TLB reach %d entries x %d bytes overflows", entries, pageBytes)
+	}
+	c, err := NewCache(entries*pageBytes, ways, pageBytes)
 	if err != nil {
 		return nil, err
 	}
-	return &TLB{c: c, pageShift: uint(bits.TrailingZeros(uint(pageBytes)))}, nil
+	return &TLB{c: c}, nil
 }
 
 // Access translates addr, inserting the page on a miss, and reports
 // whether the translation hit.
-func (t *TLB) Access(addr uint64) bool {
-	return t.c.Access(addr >> t.pageShift)
-}
+func (t *TLB) Access(addr uint64) bool { return t.c.Access(addr) }
 
 // SpansPages reports whether an access of size bytes at addr touches two
 // pages.
-func (t *TLB) SpansPages(addr uint64, size uint32) bool {
-	if size == 0 {
-		return false
-	}
-	return addr>>t.pageShift != (addr+uint64(size)-1)>>t.pageShift
-}
+func (t *TLB) SpansPages(addr uint64, size uint32) bool { return t.c.Splits(addr, size) }
 
 // Reset invalidates all translations.
 func (t *TLB) Reset() { t.c.Reset() }

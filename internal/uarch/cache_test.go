@@ -1,6 +1,9 @@
 package uarch
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 func TestNewCacheValidation(t *testing.T) {
 	cases := []struct {
@@ -12,6 +15,7 @@ func TestNewCacheValidation(t *testing.T) {
 		{"size not divisible", 1000, 8, 64},
 		{"sets not power of two", 64 * 8 * 3, 8, 64},
 		{"line not power of two", 48 * 8 * 4, 8, 48},
+		{"one-byte line", 64, 8, 1},
 	}
 	for _, c := range cases {
 		if _, err := NewCache(c.size, c.ways, c.line); err == nil {
@@ -125,6 +129,9 @@ func TestNewTLBValidation(t *testing.T) {
 	}
 	if _, err := NewTLB(256, 4, 1000); err == nil {
 		t.Error("non-power-of-two page should error")
+	}
+	if _, err := NewTLB(16, 4, 1); err == nil {
+		t.Error("one-byte page should error")
 	}
 	if _, err := NewTLB(0, 1, 4096); err == nil {
 		t.Error("zero entries should error")
@@ -271,4 +278,273 @@ func TestPreloadCodeWarmsInstructionSide(t *testing.T) {
 	// Degenerate spans are no-ops.
 	c.PreloadCode(base, 0)
 	c.PreloadCode(base, -5)
+}
+
+// refCache is the reference true-LRU cache the optimized Cache must match
+// access for access: a separate valid array, one scan that both looks for
+// the hit and tracks the victim, and a tick on every access.
+type refCache struct {
+	lineShift uint
+	setMask   uint64
+	ways      int
+	tags      []uint64
+	valid     []bool
+	used      []uint64
+	tick      uint64
+}
+
+func newRefCache(sizeBytes, ways, lineBytes int) *refCache {
+	sets := sizeBytes / (ways * lineBytes)
+	return &refCache{
+		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
+		setMask:   uint64(sets - 1),
+		ways:      ways,
+		tags:      make([]uint64, sets*ways),
+		valid:     make([]bool, sets*ways),
+		used:      make([]uint64, sets*ways),
+	}
+}
+
+func (c *refCache) Access(addr uint64) bool {
+	c.tick++
+	line := addr >> c.lineShift
+	set := int(line & c.setMask)
+	tag := line >> bits.Len64(c.setMask)
+	base := set * c.ways
+	lruIdx, lruStamp := base, c.used[base]
+	for i := base; i < base+c.ways; i++ {
+		if c.valid[i] && c.tags[i] == tag {
+			c.used[i] = c.tick
+			return true
+		}
+		if !c.valid[i] {
+			lruIdx, lruStamp = i, 0
+		} else if c.used[i] < lruStamp {
+			lruIdx, lruStamp = i, c.used[i]
+		}
+	}
+	c.tags[lruIdx] = tag
+	c.valid[lruIdx] = true
+	c.used[lruIdx] = c.tick
+	return false
+}
+
+func (c *refCache) Reset() {
+	for i := range c.valid {
+		c.valid[i] = false
+		c.used[i] = 0
+	}
+	c.tick = 0
+}
+
+// refTLB is the reference TLB: a one-byte-line refCache fed page numbers.
+type refTLB struct {
+	c         *refCache
+	pageShift uint
+}
+
+func (t *refTLB) Access(addr uint64) bool { return t.c.Access(addr >> t.pageShift) }
+func (t *refTLB) Reset()                  { t.c.Reset() }
+
+// lookup is the access interface shared by Cache, TLB and their
+// references.
+type lookup interface {
+	Access(addr uint64) bool
+	Reset()
+}
+
+// geometry is a cache shape for the oracle tests; TLBs built from it have
+// sets*ways entries over line-sized pages.
+type geometry struct{ sets, ways, line int }
+
+func (g geometry) size() int { return g.sets * g.ways * g.line }
+
+// oracle drives the optimized structures and their references with the
+// same stream — a lone cache, a TLB over the same shape, and two private
+// L1s over one shared L2 (the NewCorePair topology, L2 twice the L1's
+// sets) — and fails on the first access whose outcome differs.
+type oracle struct {
+	t          testing.TB
+	got, want  [5]lookup // cache, TLB, L1 core 0, L1 core 1, shared L2
+	steps      int
+	hits, miss int
+}
+
+func newOracle(t testing.TB, g geometry) *oracle {
+	t.Helper()
+	o := &oracle{t: t}
+	l2 := geometry{2 * g.sets, g.ways, g.line}
+	shapes := []geometry{g, g, g, g, l2}
+	for i, s := range shapes {
+		if i == 1 {
+			tlb, err := NewTLB(s.sets*s.ways, s.ways, s.line)
+			if err != nil {
+				t.Fatalf("NewTLB(%+v): %v", s, err)
+			}
+			o.got[i] = tlb
+			o.want[i] = &refTLB{newRefCache(s.sets*s.ways, s.ways, 1), uint(bits.TrailingZeros(uint(s.line)))}
+			continue
+		}
+		c, err := NewCache(s.size(), s.ways, s.line)
+		if err != nil {
+			t.Fatalf("NewCache(%+v): %v", s, err)
+		}
+		o.got[i] = c
+		o.want[i] = newRefCache(s.size(), s.ways, s.line)
+	}
+	return o
+}
+
+func (o *oracle) check(which int, addr uint64) bool {
+	o.t.Helper()
+	got, want := o.got[which].Access(addr), o.want[which].Access(addr)
+	if got != want {
+		o.t.Fatalf("step %d: structure %d access %#x: hit=%v, reference hit=%v", o.steps, which, addr, got, want)
+	}
+	if got {
+		o.hits++
+	} else {
+		o.miss++
+	}
+	return got
+}
+
+// access runs one address through the lone cache, the TLB, and the given
+// core's L1 (then the shared L2 on an L1 miss).
+func (o *oracle) access(core int, addr uint64) {
+	o.t.Helper()
+	o.steps++
+	o.check(0, addr)
+	o.check(1, addr)
+	if !o.check(2+core, addr) {
+		o.check(4, addr)
+	}
+}
+
+// reset clears every structure, as Core.Reset does (including the shared
+// L2).
+func (o *oracle) reset() {
+	for i := range o.got {
+		o.got[i].Reset()
+		o.want[i].Reset()
+	}
+}
+
+func TestCacheMatchesReference(t *testing.T) {
+	g := geometry{sets: 4, ways: 4, line: 64}
+	stride := uint64(g.sets * g.line) // same-set distance
+	type step struct {
+		core  int
+		addr  uint64
+		reset bool
+	}
+	at := func(core int, addrs ...uint64) []step {
+		var s []step
+		for _, a := range addrs {
+			s = append(s, step{core: core, addr: a})
+		}
+		return s
+	}
+	conflict := func(n int, order ...int) []uint64 {
+		var a []uint64
+		for _, k := range order {
+			a = append(a, uint64(k%n)*stride+8)
+		}
+		return a
+	}
+	cat := func(parts ...[]step) []step {
+		var s []step
+		for _, p := range parts {
+			s = append(s, p...)
+		}
+		return s
+	}
+	reset := []step{{reset: true}}
+	// A long pseudo-random stream over a few lines per set, with bursts
+	// of repeats, both cores and the odd reset.
+	var random []step
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < 20000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		switch {
+		case x%997 == 0:
+			random = append(random, reset...)
+		case x%3 == 0 && len(random) > 0:
+			random = append(random, random[len(random)-1])
+		default:
+			random = append(random, step{core: int(x>>8) & 1, addr: (x >> 16) % (8 * stride)})
+		}
+	}
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"repeated lines", at(0, 0, 0, 8, 63, 64, 64, 0, 0, 127, 128, 128, 0)},
+		{"same-set conflicts past associativity",
+			at(0, conflict(7, 0, 1, 0, 2, 3, 4, 4, 0, 5, 6, 1, 1, 2, 0, 6, 5, 4, 3, 2, 1, 0)...)},
+		{"interleaved resets", cat(
+			at(0, conflict(6, 0, 1, 2, 3, 4, 0)...), reset,
+			at(0, conflict(6, 0, 0, 5, 1, 2, 3, 4, 5)...), reset, reset,
+			at(1, 0, 0, stride, 0))},
+		// The oracle's TLB has line-sized pages: offsets within a page
+		// hit, and pages a stride apart conflict.
+		{"page granularity", at(0, 0, 1, 63, 64, 65, 64*16, 64*16+3, 0, 64*32, 64*48, 64*64, 64*80, 1, 64*16)},
+		{"shared L2 interleave", cat(
+			at(0, conflict(9, 0, 1, 2, 3, 4)...),
+			at(1, conflict(9, 5, 6, 7, 8, 0)...),
+			at(0, conflict(9, 0, 1, 5, 5)...),
+			at(1, conflict(9, 2, 2, 0, 8)...))},
+		{"pseudo-random", random},
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := newOracle(t, g)
+			for _, s := range tc.steps {
+				if s.reset {
+					o.reset()
+					continue
+				}
+				o.access(s.core, s.addr)
+			}
+			if o.hits == 0 || o.miss == 0 {
+				t.Errorf("stream exercised %d hits and %d misses; want both", o.hits, o.miss)
+			}
+		})
+	}
+}
+
+// FuzzCacheAgainstReference decodes a geometry and an access stream from
+// the input and requires the optimized structures to agree with the
+// reference on every access.
+func FuzzCacheAgainstReference(f *testing.F) {
+	f.Add([]byte{0x15, 0x08, 0x00, 0x00, 0x08, 0x00, 0x00, 0x08, 0x40, 0x00, 0x00, 0x00, 0x00})
+	f.Add([]byte{0x3f, 0x19, 0xff, 0xff, 0x11, 0xff, 0xff, 0x09, 0x00, 0x10, 0x00, 0, 0})
+	f.Add([]byte{0x00, 0x01, 0x10, 0x00, 0x09, 0x20, 0x00, 0x01, 0x10, 0x00, 0x01, 0x10, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		b := data[0]
+		g := geometry{
+			ways: 1 << (b & 3),
+			sets: 1 << ((b >> 2) & 3),
+			line: 2 << ((b >> 4) & 3),
+		}
+		o := newOracle(t, g)
+		for rest := data[1:]; len(rest) >= 3; rest = rest[3:] {
+			op := rest[0]
+			if op&7 == 0 {
+				o.reset()
+				continue
+			}
+			addr := uint64(rest[1]) | uint64(rest[2])<<8
+			if op&0x10 != 0 {
+				addr |= ^uint64(0xffff) // the top of the address space
+			}
+			o.access(int(op>>3)&1, addr)
+		}
+	})
 }
