@@ -39,7 +39,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -238,16 +238,9 @@ type errorResponse struct {
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	s.count("specchard_requests_total")
-	var req scoreRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
-		return
-	}
-	// The same strictness ReadJSON applies to artifacts: a request with
-	// trailing bytes after the document is malformed, not sloppy.
-	if tok, err := dec.Token(); err != io.EOF {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("trailing data after request body (token %v)", tok))
+	req, err := decodeScoreRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.Model == "" {
@@ -286,6 +279,15 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.failErr(w, r, err)
 		return
+	}
+	// JSON has no spelling for ±Inf or NaN, and resending the sample
+	// cannot change its prediction: a client mistake, not a retry.
+	for i, p := range out {
+		if math.IsInf(p, 0) || math.IsNaN(p) {
+			s.fail(w, http.StatusUnprocessableEntity,
+				fmt.Sprintf("sample %d scores a non-finite prediction (%v) under model %q", i, p, req.Model))
+			return
+		}
 	}
 	s.rec.Counter("specchard_samples_scored_total").Add(int64(len(req.Samples)))
 	s.writeJSON(w, http.StatusOK, scoreResponse{Model: req.Model, Version: version, Predictions: out})
@@ -420,11 +422,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // they stay out of deterministic manifests). Nil-safe via the recorder.
 func (s *Server) count(name string) { s.rec.VolatileCounter(name).Add(1) }
 
+// writeJSON marshals v before writing the status, so a value that
+// cannot be encoded answers 500 with an error body instead of the
+// intended status with an empty one.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		s.count("specchard_request_errors_total")
+		status = http.StatusInternalServerError
+		// A struct of one string always marshals.
+		body, _ = json.Marshal(errorResponse{Error: fmt.Sprintf("encoding response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
+	if _, err := w.Write(append(body, '\n')); err != nil {
 		s.count("specchard_request_errors_total")
 	}
 }

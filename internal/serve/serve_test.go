@@ -145,8 +145,12 @@ func TestServedScoresMatchPredictDataset(t *testing.T) {
 	}
 }
 
+// validationBodyLimit caps request bodies in TestScoreValidation, so the
+// over-limit case needs only a few KiB.
+const validationBodyLimit = 4 << 10
+
 func TestScoreValidation(t *testing.T) {
-	f := newFixture(t, Config{})
+	f := newFixture(t, Config{MaxBodyBytes: validationBodyLimit})
 	post := func(body string) (int, string) {
 		resp, err := http.Post(f.ts.URL+"/v1/score", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -157,23 +161,135 @@ func TestScoreValidation(t *testing.T) {
 		_ = json.NewDecoder(resp.Body).Decode(&er)
 		return resp.StatusCode, er.Error
 	}
+	// The messages are pinned: every rejected body answers exactly what
+	// the encoding/json decoder has always reported for it.
 	for name, tc := range map[string]struct {
 		body string
 		want int
+		msg  string
 	}{
-		"empty body":       {"", http.StatusBadRequest},
-		"not json":         {"hi", http.StatusBadRequest},
-		"no model":         {`{"samples":[[1,2,3,4]]}`, http.StatusBadRequest},
-		"no samples":       {`{"model":"cpu2006"}`, http.StatusBadRequest},
-		"unknown model":    {`{"model":"nope","samples":[[1,2,3,4]]}`, http.StatusNotFound},
-		"width mismatch":   {`{"model":"cpu2006","samples":[[1,2]]}`, http.StatusBadRequest},
-		"ragged samples":   {`{"model":"cpu2006","samples":[[1,2,3,4],[1]]}`, http.StatusBadRequest},
-		"trailing garbage": {`{"model":"cpu2006","samples":[[1,2,3,4]]}{"x":1}`, http.StatusBadRequest},
+		"empty body":       {"", http.StatusBadRequest, "decoding request: EOF"},
+		"not json":         {"hi", http.StatusBadRequest, "decoding request: invalid character 'h' looking for beginning of value"},
+		"no model":         {`{"samples":[[1,2,3,4]]}`, http.StatusBadRequest, "missing model name"},
+		"no samples":       {`{"model":"cpu2006"}`, http.StatusBadRequest, "no samples"},
+		"unknown model":    {`{"model":"nope","samples":[[1,2,3,4]]}`, http.StatusNotFound, `model "nope" not loaded`},
+		"width mismatch":   {`{"model":"cpu2006","samples":[[1,2]]}`, http.StatusBadRequest, `sample 0 has 2 attributes, model "cpu2006" expects 4`},
+		"ragged samples":   {`{"model":"cpu2006","samples":[[1,2,3,4],[1]]}`, http.StatusBadRequest, `sample 1 has 1 attributes, model "cpu2006" expects 4`},
+		"trailing garbage": {`{"model":"cpu2006","samples":[[1,2,3,4]]}{"x":1}`, http.StatusBadRequest, "trailing data after request body (token {)"},
+		"out of range": {`{"model":"cpu2006","samples":[[1,2,3,1e999]]}`, http.StatusBadRequest,
+			"decoding request: json: cannot unmarshal number 1e999 into Go struct field scoreRequest.samples of type float64"},
+		"string element": {`{"model":"cpu2006","samples":[[1,2,3,"4"]]}`, http.StatusBadRequest,
+			"decoding request: json: cannot unmarshal string into Go struct field scoreRequest.samples of type float64"},
+		"truncated": {`{"model":"cpu2006","samples":[[1,2,3,`, http.StatusBadRequest, "decoding request: unexpected EOF"},
+		"over body limit": {
+			`{"model":"cpu2006","samples":[[1,2,3,4]` + strings.Repeat(",[1,2,3,4]", validationBodyLimit/10) + `]}`,
+			http.StatusBadRequest, "decoding request: http: request body too large",
+		},
 	} {
-		if got, msg := post(tc.body); got != tc.want {
-			t.Errorf("%s: status %d (%s), want %d", name, got, msg, tc.want)
+		if got, msg := post(tc.body); got != tc.want || msg != tc.msg {
+			t.Errorf("%s: status %d (%s), want %d (%s)", name, got, msg, tc.want, tc.msg)
 		}
 	}
+}
+
+func TestScoreAcceptedForms(t *testing.T) {
+	f := newFixture(t, Config{})
+	post := func(body string) (int, scoreResponse, string) {
+		resp, err := http.Post(f.ts.URL+"/v1/score", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sr scoreResponse
+		var er errorResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			_ = json.NewDecoder(resp.Body).Decode(&er)
+		}
+		return resp.StatusCode, sr, er.Error
+	}
+	rows := rowsOf(f.data, 0, 2)
+	canonical, err := json.Marshal(scoreRequest{Model: "cpu2006", Samples: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, want, msg := post(string(canonical))
+	if status != http.StatusOK {
+		t.Fatalf("canonical body: status %d (%s)", status, msg)
+	}
+	if offline := f.tree.PredictDataset(&dataset.Dataset{Schema: f.data.Schema, Samples: f.data.Samples[:2]}); !sameBits(want.Predictions, offline) {
+		t.Fatalf("canonical body scored %v, PredictDataset %v", want.Predictions, offline)
+	}
+	negZero := []float64{math.Copysign(0, -1), rows[0][1], rows[0][2], rows[0][3]}
+	for _, tc := range []struct {
+		name, body string
+		want       []float64
+	}{
+		{"whitespace padded", " \t\r\n{ \"model\" :\n\"cpu2006\" , \"samples\"\t: " +
+			strings.ReplaceAll(strings.ReplaceAll(string(samples), ",", " ,\n "), "[", "[ ") + " } \n", want.Predictions},
+		{"reversed keys", `{"samples":` + string(samples) + `,"model":"cpu2006"}`, want.Predictions},
+		{"escaped model", `{"model":"cpu\u0032006","samples":` + string(samples) + `}`, want.Predictions},
+		{"case-folded key", `{"Model":"cpu2006","samples":` + string(samples) + `}`, want.Predictions},
+		{"unknown field", `{"model":"cpu2006","extra":{"a":[1,"x",null]},"samples":` + string(samples) + `}`, want.Predictions},
+		{"negative zero", fmt.Sprintf(`{"model":"cpu2006","samples":[[-0,%v,%v,%v]]}`, negZero[1], negZero[2], negZero[3]),
+			[]float64{f.tree.Predict(negZero)}},
+	} {
+		status, sr, msg := post(tc.body)
+		if status != http.StatusOK {
+			t.Errorf("%s: status %d (%s), want 200", tc.name, status, msg)
+			continue
+		}
+		if sr.Model != "cpu2006" || !sameBits(sr.Predictions, tc.want) {
+			t.Errorf("%s: scored %q %v, want %v", tc.name, sr.Model, sr.Predictions, tc.want)
+		}
+	}
+}
+
+// A sample whose prediction is not finite cannot be written as JSON. It
+// must answer a non-retryable 422 naming the sample, not a 200 with an
+// empty body that a client reads as a transport failure and resends.
+func TestNonFinitePredictionAnswers422(t *testing.T) {
+	f := newFixture(t, Config{})
+	body := `{"model":"cpu2006","samples":[[0.5,0.5,0.5,0.5],[1.7e308,-1.7e308,1.7e308,1.7e308]]}`
+	if p := f.tree.Predict([]float64{1.7e308, -1.7e308, 1.7e308, 1.7e308}); !math.IsInf(p, 0) && !math.IsNaN(p) {
+		t.Fatalf("fixture predicts a finite %v; the test needs a non-finite one", p)
+	}
+	resp, err := http.Post(f.ts.URL+"/v1/score", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatalf("status %d with an undecodable body: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(er.Error, "sample 1 ") {
+		t.Errorf("status %d (%s), want 422 naming sample 1", resp.StatusCode, er.Error)
+	}
+	// The model keeps serving finite samples.
+	if status, _, msg := f.score(t, "cpu2006", rowsOf(f.data, 0, 1)); status != http.StatusOK {
+		t.Errorf("after a non-finite sample: status %d (%s)", status, msg)
+	}
+}
+
+// sameBits reports whether got equals want bit for bit.
+func sameBits(got, want []float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestAdminSurface(t *testing.T) {
