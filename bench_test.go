@@ -11,6 +11,7 @@ package specchar
 // results table.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -399,7 +400,7 @@ func benchPredictDatasetCompiledWorkers(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctree.Workers = workers
+	ctree = ctree.WithWorkers(workers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -417,23 +418,23 @@ func BenchmarkPredictDatasetCompiledParallel(b *testing.B) { benchPredictDataset
 // convert` writes and OpenColumnar maps. Since PR 10 this is the fused
 // tile-transpose route: L1-resident sub-chunks are gathered into pooled
 // row scratch and scored by the same fused kernel as the row path,
-// bit-identically (the in-place column-walk kernels remain measurable
-// via WithColumnarDirect).
+// bit-identically.
 func benchPredictColumnarWorkers(b *testing.B, workers int) {
 	s := benchStudy(b)
 	ctree, err := s.CPUTree.Compile()
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctree.Workers = workers
+	ctree = ctree.WithWorkers(workers)
 	col := s.CPU.ToColumnar()
 	defer col.Close()
 	cols, n := col.Columns(), col.Len()
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if preds := ctree.PredictColumns(cols, n); len(preds) != n {
-			b.Fatal("short prediction vector")
+		if preds, err := ctree.PredictColumnsCheckedContext(ctx, cols, n); err != nil || len(preds) != n {
+			b.Fatal("short prediction vector", err)
 		}
 	}
 }

@@ -10,9 +10,8 @@ import (
 )
 
 // runRoofline measures the machine's STREAM bandwidth ceilings and
-// holds every scoring path — fused row-major, fused columnar
-// (tile-transpose), and the direct in-place columnar kernels — against
-// them over the CPU2006 suite data. Invoked from `specchar bench
+// holds both scoring paths — fused row-major and fused columnar
+// (tile-transpose) — against them over the CPU2006 suite data. Invoked from `specchar bench
 // -roofline`; with -roofline-out the full report is also written as
 // JSON for cmd/benchjson to fold into its report.
 func runRoofline(ctx context.Context, cfg specchar.Config, elems, rounds, workers int, outPath string) error {
@@ -42,12 +41,8 @@ func runRoofline(ctx context.Context, cfg specchar.Config, elems, rounds, worker
 	rowNs := roofline.Time(rounds, func() { ctree.PredictDataset(study.CPU) })
 	rep.Add(roofline.ScoringKernel("fused-rows", w), n, rowNs)
 
-	fusedNs := roofline.Time(rounds, func() { ctree.PredictColumns(cols, n) })
+	fusedNs := roofline.Time(rounds, func() { ctree.PredictColumnsCheckedContext(ctx, cols, n) })
 	rep.Add(roofline.ScoringKernel("fused-columnar", w), n, fusedNs)
-
-	direct := ctree.WithColumnarDirect(true)
-	directNs := roofline.Time(rounds, func() { direct.PredictColumns(cols, n) })
-	rep.Add(roofline.ScoringKernel("direct-columnar", w), n, directNs)
 
 	fmt.Print(rep.RenderText())
 

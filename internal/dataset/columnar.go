@@ -90,8 +90,8 @@ func (c *Columnar) Len() int { return c.n }
 // Ys returns the response column. It aliases the columnar storage.
 func (c *Columnar) Ys() []float64 { return c.y }
 
-// Columns returns the predictor columns, the shape PredictColumns
-// consumes. The slices alias the columnar storage.
+// Columns returns the predictor columns, the shape
+// CompiledTree.PredictColumnsCheckedContext consumes. The slices alias the columnar storage.
 func (c *Columnar) Columns() [][]float64 { return c.cols }
 
 // Label returns the label of sample i.

@@ -14,17 +14,11 @@ package mtree
 // Every kernel preserves the exact floating-point schedule of the scalar
 // path: routing uses the same `v <= threshold → left` comparison
 // (including its NaN-goes-right behavior), and the per-lane dot product
-// accumulates intercept-first in ascending attribute order into a single
-// accumulator, exactly like CompiledTree.Predict. Batch results are
+// runs the eight-lane FMA schedule of fmadot.go, exactly like
+// CompiledTree.Predict. Batch results are
 // therefore bit-identical to per-sample calls, and — because the chunk
 // size is a multiple of laneBlock, fixing absolute block boundaries —
 // bit-identical at every worker count.
-//
-// The quantized kernels route on the float32 brackets thrLo32/thrHi32
-// (f64(lo) ≤ t ≤ f64(hi)): v ≤ lo and v > hi decide from the narrow
-// value alone, and only samples inside the bracket — within a float32
-// ULP of the threshold — fall back to the exact float64 compare. Leaf
-// assignment is identical by construction.
 
 import (
 	"sync"
@@ -35,13 +29,11 @@ import (
 
 // predictScratch is the per-chunk working state batch scoring borrows
 // from scratchPool instead of allocating: the fused kernel's transition
-// table, the direct columnar kernel's column base pointers, and the
-// tile-transpose row scratch (see transpose.go). Chunks run on whatever
+// table and the tile-transpose row scratch (see transpose.go). Chunks run on whatever
 // worker grabs them, so the scratch lives in a pool rather than on the
 // tree.
 type predictScratch struct {
 	tr     []int32
-	colp   []unsafe.Pointer
 	rowbuf []float64
 	rows   []dataset.Sample
 	rowsW  int // width the rows headers were built for; 0 = not built
@@ -63,14 +55,6 @@ func (s *predictScratch) trans(rows int) *int32 {
 		s.tr[i] = -1
 	}
 	return &s.tr[0]
-}
-
-// colPtrs returns a base-pointer scratch slice of length n.
-func (s *predictScratch) colPtrs(n int) []unsafe.Pointer {
-	if cap(s.colp) < n {
-		s.colp = make([]unsafe.Pointer, n)
-	}
-	return s.colp[:n]
 }
 
 const (
@@ -119,131 +103,12 @@ func (c *CompiledTree) routeRows(samples []dataset.Sample, lo, n int, refs *[lan
 	}
 }
 
-// routeRowsQuant is routeRows on the float32 threshold brackets with the
-// exact float64 fallback inside a bracket.
-func (c *CompiledTree) routeRowsQuant(samples []dataset.Sample, lo, n int, refs *[laneBlock]int32) {
-	var rows [laneBlock][]float64
-	var act [laneBlock]int
-	attrs, thr, kids := c.attrs, c.thresholds, c.kids
-	tlo, thi := c.thrLo32, c.thrHi32
-	na := 0
-	for l := 0; l < n; l++ {
-		refs[l] = c.rootRef
-		rows[l] = samples[lo+l].X
-		if c.rootRef >= 0 {
-			act[na] = l
-			na++
-		}
-	}
-	for na > 0 {
-		k := 0
-		for a := 0; a < na; a++ {
-			l := act[a]
-			ref := refs[l]
-			v := rows[l][attrs[ref]]
-			var b int32
-			switch {
-			case v <= float64(tlo[ref]):
-				b = 0
-			case v > float64(thi[ref]):
-				b = 1
-			case v <= thr[ref]: // inside the bracket: exact compare
-				b = 0
-			default:
-				b = 1
-			}
-			ref = kids[2*ref+b]
-			refs[l] = ref
-			if ref >= 0 {
-				act[k] = l
-				k++
-			}
-		}
-		na = k
-	}
-}
-
-// routeCols routes n ≤ laneBlock column-major samples starting at lo
-// (cols[j][i] is attribute j of sample i) down to their leaves.
-func (c *CompiledTree) routeCols(cols [][]float64, lo, n int, refs *[laneBlock]int32) {
-	var act [laneBlock]int
-	attrs, thr, kids := c.attrs, c.thresholds, c.kids
-	na := 0
-	for l := 0; l < n; l++ {
-		refs[l] = c.rootRef
-		if c.rootRef >= 0 {
-			act[na] = l
-			na++
-		}
-	}
-	for na > 0 {
-		k := 0
-		for a := 0; a < na; a++ {
-			l := act[a]
-			ref := refs[l]
-			v := cols[attrs[ref]][lo+l]
-			b := int32(1)
-			if v <= thr[ref] {
-				b = 0
-			}
-			ref = kids[2*ref+b]
-			refs[l] = ref
-			if ref >= 0 {
-				act[k] = l
-				k++
-			}
-		}
-		na = k
-	}
-}
-
-// routeColsQuant is routeCols on the float32 threshold brackets.
-func (c *CompiledTree) routeColsQuant(cols [][]float64, lo, n int, refs *[laneBlock]int32) {
-	var act [laneBlock]int
-	attrs, thr, kids := c.attrs, c.thresholds, c.kids
-	tlo, thi := c.thrLo32, c.thrHi32
-	na := 0
-	for l := 0; l < n; l++ {
-		refs[l] = c.rootRef
-		if c.rootRef >= 0 {
-			act[na] = l
-			na++
-		}
-	}
-	for na > 0 {
-		k := 0
-		for a := 0; a < na; a++ {
-			l := act[a]
-			ref := refs[l]
-			v := cols[attrs[ref]][lo+l]
-			var b int32
-			switch {
-			case v <= float64(tlo[ref]):
-				b = 0
-			case v > float64(thi[ref]):
-				b = 1
-			case v <= thr[ref]: // inside the bracket: exact compare
-				b = 0
-			default:
-				b = 1
-			}
-			ref = kids[2*ref+b]
-			refs[l] = ref
-			if ref >= 0 {
-				act[k] = l
-				k++
-			}
-		}
-		na = k
-	}
-}
-
 // predictRowsRange scores samples [lo,hi) into out[lo:hi] — through the
 // fused box-memoized AVX-512 kernel when the hardware and the tree's
 // packing allow it, else the blocked lane kernels.
 func (c *CompiledTree) predictRowsRange(samples []dataset.Sample, lo, hi int, out []float64) {
 	w := c.width
-	if useAsm512 && c.packedOK && !c.quant && w > 0 && hi > lo {
+	if useAsm512 && c.packedOK && w > 0 && hi > lo {
 		nl := len(c.intercepts)
 		var packed *uint64
 		var thr *float64
@@ -269,11 +134,7 @@ func (c *CompiledTree) predictRowsRange(samples []dataset.Sample, lo, hi int, ou
 		var lis [laneBlock]int32
 		for blo := lo; blo < hi; blo += laneBlock {
 			n := min(laneBlock, hi-blo)
-			if c.quant {
-				c.routeRowsQuant(samples, blo, n, &refs)
-			} else {
-				c.routeRows(samples, blo, n, &refs)
-			}
+			c.routeRows(samples, blo, n, &refs)
 			for l := 0; l < n; l++ {
 				lis[l] = int32(^refs[l])
 				x := samples[blo+l].X
@@ -286,11 +147,7 @@ func (c *CompiledTree) predictRowsRange(samples []dataset.Sample, lo, hi int, ou
 	}
 	for blo := lo; blo < hi; blo += laneBlock {
 		n := min(laneBlock, hi-blo)
-		if c.quant {
-			c.routeRowsQuant(samples, blo, n, &refs)
-		} else {
-			c.routeRows(samples, blo, n, &refs)
-		}
+		c.routeRows(samples, blo, n, &refs)
 		for l := 0; l < n; l++ {
 			li := int(^refs[l])
 			out[blo+l] = dotRow(c.intercepts[li], c.coefs[li*w:(li+1)*w], samples[blo+l].X)
@@ -299,18 +156,13 @@ func (c *CompiledTree) predictRowsRange(samples []dataset.Sample, lo, hi int, ou
 }
 
 // predictColsRange scores column-major samples [lo,hi) into out[lo:hi].
-// The default route gathers the chunk into pooled row-major scratch tile
-// by tile (transpose.go) and scores it through predictRowsRange — the
-// fused AVX-512 kernel when the hardware allows — so columnar
-// predictions are bit-identical to per-sample Predict. Chunk boundaries
+// It gathers the chunk into pooled row-major scratch tile by tile
+// (transpose.go) and scores it through predictRowsRange — the fused
+// AVX-512 kernel when the hardware allows — so columnar predictions are
+// bit-identical to per-sample Predict. Chunk boundaries
 // are multiples of blockedChunk and tiles of laneBlock, exactly the row
 // path's block grid, so results are also worker-count invariant.
-// WithColumnarDirect selects the pre-transpose in-place kernels below.
 func (c *CompiledTree) predictColsRange(cols [][]float64, lo, hi int, out []float64) {
-	if c.colDirect {
-		c.predictColsRangeDirect(cols, lo, hi, out)
-		return
-	}
 	n := hi - lo
 	if n <= 0 {
 		return
@@ -331,111 +183,13 @@ func (c *CompiledTree) predictColsRange(cols [][]float64, lo, hi int, out []floa
 	scratchPool.Put(sc)
 }
 
-// predictColsRangeDirect scores column-major samples [lo,hi) in place,
-// in the per-sample ascending-attribute schedule of dotColsSample.
-// Consecutive samples routed to the same leaf — the common case when
-// batches arrive in workload order — are scored as one run through the
-// broadcast kernel: one coefficient row serves the whole run and each
-// column is read as one sequential stretch. Kept behind
-// WithColumnarDirect as the measurement reference the roofline harness
-// compares against; it carries the 1e-9 contract, not the bitwise one.
-func (c *CompiledTree) predictColsRangeDirect(cols [][]float64, lo, hi int, out []float64) {
-	var refs [laneBlock]int32
-	w := c.width
-	var colp []unsafe.Pointer
-	var sc *predictScratch
-	if useAsmDot && w > 0 && hi > lo {
-		sc = scratchPool.Get().(*predictScratch)
-		colp = sc.colPtrs(w)
-		for j := range colp {
-			col := cols[j]
-			_ = col[hi-1] // column must cover the range, as in the scalar path
-			colp[j] = unsafe.Pointer(&col[0])
-		}
-		defer scratchPool.Put(sc)
-	}
-	for blo := lo; blo < hi; blo += laneBlock {
-		n := min(laneBlock, hi-blo)
-		if c.quant {
-			c.routeColsQuant(cols, blo, n, &refs)
-		} else {
-			c.routeCols(cols, blo, n, &refs)
-		}
-		for l := 0; l < n; {
-			r := l + 1
-			for r < n && refs[r] == refs[l] {
-				r++
-			}
-			li := int(^refs[l])
-			intercept := c.intercepts[li]
-			row := c.coefs[li*w : (li+1)*w]
-			if rn := r - l; colp != nil && rn >= 4 {
-				n4 := rn &^ 3
-				dotColsRunAsm(&colp[0], int64(w), &row[0], intercept, int64(blo+l), int64(n4), &out[blo+l])
-				for k := n4; k < rn; k++ {
-					out[blo+l+k] = dotColsSample(intercept, row, cols, blo+l+k)
-				}
-			} else {
-				dotColsRun(intercept, row, cols, blo+l, rn, out[blo+l:blo+r])
-			}
-			l = r
-		}
-	}
-}
-
 // classifyRowsRange fills out[lo:hi] with 1-based LeafIDs through the
 // blocked row-major kernel.
 func (c *CompiledTree) classifyRowsRange(samples []dataset.Sample, lo, hi int, out []int) {
 	var refs [laneBlock]int32
 	for blo := lo; blo < hi; blo += laneBlock {
 		n := min(laneBlock, hi-blo)
-		if c.quant {
-			c.routeRowsQuant(samples, blo, n, &refs)
-		} else {
-			c.routeRows(samples, blo, n, &refs)
-		}
-		for l := 0; l < n; l++ {
-			out[blo+l] = int(^refs[l]) + 1
-		}
-	}
-}
-
-// classifyColsRange fills out[lo:hi] with 1-based LeafIDs for
-// column-major samples: the default route transposes the chunk into
-// pooled row scratch and routes through the blocked row kernels (leaf
-// assignment is identical either way; the gathered rows route faster),
-// WithColumnarDirect keeps the in-place column walk.
-func (c *CompiledTree) classifyColsRange(cols [][]float64, lo, hi int, out []int) {
-	if c.colDirect {
-		c.classifyColsRangeDirect(cols, lo, hi, out)
-		return
-	}
-	n := hi - lo
-	if n <= 0 {
-		return
-	}
-	sc := scratchPool.Get().(*predictScratch)
-	for t := lo; t < hi; t += colSubChunk {
-		te := min(t+colSubChunk, hi)
-		m := te - t
-		rows := sc.sampleRows(m, c.width)
-		transposeChunk(cols, t, m, c.width, sc.rowbuf)
-		c.classifyRowsRange(rows, 0, m, out[t:te])
-	}
-	scratchPool.Put(sc)
-}
-
-// classifyColsRangeDirect fills out[lo:hi] with 1-based LeafIDs through
-// the in-place blocked column-major kernel.
-func (c *CompiledTree) classifyColsRangeDirect(cols [][]float64, lo, hi int, out []int) {
-	var refs [laneBlock]int32
-	for blo := lo; blo < hi; blo += laneBlock {
-		n := min(laneBlock, hi-blo)
-		if c.quant {
-			c.routeColsQuant(cols, blo, n, &refs)
-		} else {
-			c.routeCols(cols, blo, n, &refs)
-		}
+		c.routeRows(samples, blo, n, &refs)
 		for l := 0; l < n; l++ {
 			out[blo+l] = int(^refs[l]) + 1
 		}

@@ -16,7 +16,7 @@ func TestBlockedAsmParity(t *testing.T) {
 	d := boundaryDataset(t, c, 5)
 	cols := d.Columns()
 	refPreds := c.WithWorkers(1).PredictDataset(d)
-	refLeaves := c.ClassifyLeaves(d)
+	refLeaves := classifyLeaves(t, c, d)
 
 	savedDot, saved512 := useAsmDot, useAsm512
 	defer func() { useAsmDot, useAsm512 = savedDot, saved512 }()
@@ -32,10 +32,10 @@ func TestBlockedAsmParity(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			cw := c.WithWorkers(workers)
 			preds := cw.PredictDataset(d)
-			leaves := cw.ClassifyLeaves(d)
+			leaves := classifyLeaves(t, cw, d)
 			// The fused-columnar route rides the same row kernels off
 			// transposed tiles, so it must not move a bit either.
-			colPreds := cw.PredictColumns(cols, d.Len())
+			colPreds := predictColumns(t, cw, cols, d.Len())
 			for i := range refPreds {
 				if math.Float64bits(preds[i]) != math.Float64bits(refPreds[i]) {
 					t.Fatalf("%s workers=%d sample %d: %v, asm reference %v",

@@ -4,9 +4,9 @@ package mtree
 // per-sample path on the inputs most likely to expose a routing
 // divergence: samples sitting exactly on a split threshold and one ULP
 // to either side. The compiled comparison x > threshold sends an exact
-// tie left (v ≤ t), and the fused AVX-512 kernel, the quantized
-// float32 kernels, and the column-major kernels must all make the
-// identical call — these tests fail on the first bit that differs.
+// tie left (v ≤ t), and the fused AVX-512 kernel, the blocked lane
+// kernels, and the fused-columnar route must all make the identical
+// call — these tests fail on the first bit that differs.
 //
 // The file also pins the depth-layered (BFS) artifact layout: a golden
 // hash over the serialized form, the layering invariant itself, and
@@ -14,7 +14,6 @@ package mtree
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -88,10 +87,10 @@ func boundaryDataset(t *testing.T, c *CompiledTree, seed uint64) *dataset.Datase
 	return d
 }
 
-// TestBlockedBoundaryEquivalence drives the blocked row-major and
-// column-major kernels, quantized and exact, across worker counts, over
-// threshold-boundary data — and demands bit-identical predictions and
-// leaf assignments against the scalar per-sample path.
+// TestBlockedBoundaryEquivalence drives the blocked row-major kernels and
+// the fused-columnar route across worker counts over threshold-boundary
+// data, and demands bit-identical predictions and leaf assignments
+// against the scalar per-sample path.
 func TestBlockedBoundaryEquivalence(t *testing.T) {
 	for _, seed := range []uint64{31, 47} {
 		_, c := boundaryTree(t, seed)
@@ -106,43 +105,23 @@ func TestBlockedBoundaryEquivalence(t *testing.T) {
 			wantLeaf[i] = c.ClassifyLeaf(s.X)
 		}
 
-		for _, quant := range []bool{false, true} {
-			cq := c.WithQuantized(quant)
-			for _, workers := range []int{1, 2, 4, 8} {
-				name := fmt.Sprintf("seed=%d/quant=%v/workers=%d", seed, quant, workers)
-				cw := cq.WithWorkers(workers)
-				preds := cw.PredictDataset(d)
-				leaves := cw.ClassifyLeaves(d)
-				colPreds := cw.PredictColumns(cols, d.Len())
-				colLeaves, err := cw.ClassifyLeavesColumns(context.Background(), cols, d.Len())
-				if err != nil {
-					t.Fatalf("%s: ClassifyLeavesColumns: %v", name, err)
+		for _, workers := range []int{1, 2, 4, 8} {
+			name := fmt.Sprintf("seed=%d/workers=%d", seed, workers)
+			cw := c.WithWorkers(workers)
+			preds := cw.PredictDataset(d)
+			leaves := classifyLeaves(t, cw, d)
+			colPreds := predictColumns(t, cw, cols, d.Len())
+			for i := range wantPred {
+				if math.Float64bits(preds[i]) != math.Float64bits(wantPred[i]) {
+					t.Fatalf("%s: row sample %d: blocked %v, scalar %v", name, i, preds[i], wantPred[i])
 				}
-				// The direct (pre-transpose) columnar view folds its dot
-				// in a different association order, so it carries the
-				// 1e-9 contract rather than the bitwise one.
-				cd := cw.WithColumnarDirect(true)
-				dirPreds := cd.PredictColumns(cols, d.Len())
-				dirLeaves, err := cd.ClassifyLeavesColumns(context.Background(), cols, d.Len())
-				if err != nil {
-					t.Fatalf("%s: direct ClassifyLeavesColumns: %v", name, err)
+				// The columnar route transposes into row scratch and runs
+				// the row kernels: bitwise.
+				if math.Float64bits(colPreds[i]) != math.Float64bits(wantPred[i]) {
+					t.Fatalf("%s: col sample %d: fused-columnar %v, scalar %v", name, i, colPreds[i], wantPred[i])
 				}
-				for i := range wantPred {
-					if math.Float64bits(preds[i]) != math.Float64bits(wantPred[i]) {
-						t.Fatalf("%s: row sample %d: blocked %v, scalar %v", name, i, preds[i], wantPred[i])
-					}
-					// The default columnar route transposes into row
-					// scratch and runs the row kernels: bitwise.
-					if math.Float64bits(colPreds[i]) != math.Float64bits(wantPred[i]) {
-						t.Fatalf("%s: col sample %d: fused-columnar %v, scalar %v", name, i, colPreds[i], wantPred[i])
-					}
-					if !closeEnough(dirPreds[i], wantPred[i]) {
-						t.Fatalf("%s: col sample %d: direct %v, scalar %v", name, i, dirPreds[i], wantPred[i])
-					}
-					if leaves[i] != wantLeaf[i] || colLeaves[i] != wantLeaf[i] || dirLeaves[i] != wantLeaf[i] {
-						t.Fatalf("%s: sample %d leaves: row %d, col %d, direct %d, scalar %d",
-							name, i, leaves[i], colLeaves[i], dirLeaves[i], wantLeaf[i])
-					}
+				if leaves[i] != wantLeaf[i] {
+					t.Fatalf("%s: sample %d: row leaf %d, scalar %d", name, i, leaves[i], wantLeaf[i])
 				}
 			}
 		}
@@ -199,31 +178,21 @@ func FuzzBlockedLeafIndex(f *testing.F) {
 			}
 		}
 		cols := d.Columns()
-		for _, quant := range []bool{false, true} {
-			cq := c.WithQuantized(quant)
-			for _, workers := range []int{1, 4} {
-				cw := cq.WithWorkers(workers)
-				preds := cw.PredictDataset(d)
-				colPreds := cw.PredictColumns(cols, d.Len())
-				leaves := cw.ClassifyLeaves(d)
-				colLeaves, err := cw.ClassifyLeavesColumns(context.Background(), cols, d.Len())
-				if err != nil {
-					t.Fatal(err)
+		for _, workers := range []int{1, 4} {
+			cw := c.WithWorkers(workers)
+			preds := cw.PredictDataset(d)
+			colPreds := predictColumns(t, cw, cols, d.Len())
+			leaves := classifyLeaves(t, cw, d)
+			for i, s := range d.Samples {
+				if want := c.ClassifyLeaf(s.X); leaves[i] != want {
+					t.Fatalf("workers=%d sample %d: row leaf %d, scalar %d", workers, i, leaves[i], want)
 				}
-				for i, s := range d.Samples {
-					if want := c.ClassifyLeaf(s.X); leaves[i] != want || colLeaves[i] != want {
-						t.Fatalf("quant=%v workers=%d sample %d: row leaf %d, col leaf %d, scalar %d",
-							quant, workers, i, leaves[i], colLeaves[i], want)
-					}
-					want := c.Predict(s.X)
-					if math.Float64bits(preds[i]) != math.Float64bits(want) {
-						t.Fatalf("quant=%v workers=%d sample %d: blocked %v, scalar %v",
-							quant, workers, i, preds[i], want)
-					}
-					if math.Float64bits(colPreds[i]) != math.Float64bits(want) {
-						t.Fatalf("quant=%v workers=%d sample %d: fused-columnar %v, scalar %v",
-							quant, workers, i, colPreds[i], want)
-					}
+				want := c.Predict(s.X)
+				if math.Float64bits(preds[i]) != math.Float64bits(want) {
+					t.Fatalf("workers=%d sample %d: blocked %v, scalar %v", workers, i, preds[i], want)
+				}
+				if math.Float64bits(colPreds[i]) != math.Float64bits(want) {
+					t.Fatalf("workers=%d sample %d: fused-columnar %v, scalar %v", workers, i, colPreds[i], want)
 				}
 			}
 		}
@@ -394,7 +363,7 @@ func TestArtifactPreorderV1Loads(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		vw := v1.WithWorkers(workers)
 		preds := vw.PredictDataset(d)
-		leaves := vw.ClassifyLeaves(d)
+		leaves := classifyLeaves(t, vw, d)
 		for i, s := range d.Samples {
 			if want := c.Predict(s.X); math.Float64bits(preds[i]) != math.Float64bits(want) {
 				t.Fatalf("workers=%d sample %d: v1 %v, v2 %v", workers, i, preds[i], want)

@@ -107,11 +107,11 @@ func TestPredictDatasetContextCancel(t *testing.T) {
 		if _, err := tree.PredictDatasetContext(ctx, d); !errors.Is(err, context.Canceled) {
 			t.Errorf("tree workers=%d: err = %v, want context.Canceled", w, err)
 		}
-		ctree.Workers = w
-		if _, err := ctree.PredictDatasetContext(ctx, d); !errors.Is(err, context.Canceled) {
+		cw := ctree.WithWorkers(w)
+		if _, err := cw.PredictDatasetCheckedContext(ctx, d); !errors.Is(err, context.Canceled) {
 			t.Errorf("compiled workers=%d: err = %v, want context.Canceled", w, err)
 		}
-		if _, err := ctree.ClassifyLeavesContext(ctx, d); !errors.Is(err, context.Canceled) {
+		if _, err := cw.ClassifyLeavesCheckedContext(ctx, d); !errors.Is(err, context.Canceled) {
 			t.Errorf("classify workers=%d: err = %v, want context.Canceled", w, err)
 		}
 		assertNoGoroutineLeak(t, baseline)

@@ -48,21 +48,14 @@ import (
 )
 
 // CompiledTree is the flat, immutable evaluation form of a Tree. All
-// methods are safe for concurrent use on a tree whose Workers field is
-// left alone after it is first shared; callers that need different worker
-// bounds per call site should derive per-bound views with WithWorkers
-// instead of mutating the shared value.
+// methods are safe for concurrent use; callers that need different worker
+// bounds per call site derive per-bound views with WithWorkers.
 type CompiledTree struct {
-	// Workers bounds the goroutines used by batch scoring, exactly like
+	// workers bounds the goroutines used by batch scoring, exactly like
 	// Options.Workers: 0 uses runtime.GOMAXPROCS, 1 forces serial
-	// operation. Initialized from the source tree's Options.
-	//
-	// Deprecated: assigning Workers on a tree already visible to other
-	// goroutines is a data race (batch scoring reads it concurrently).
-	// The field keeps working for single-owner setups — set it before the
-	// tree is shared — but new code should use WithWorkers, which returns
-	// an immutable per-bound view and never touches shared state.
-	Workers int
+	// operation. Initialized from the source tree's Options; WithWorkers
+	// derives views with another bound.
+	workers int
 
 	schema *dataset.Schema
 	width  int  // schema attribute count = dense coefficient row width
@@ -89,13 +82,6 @@ type CompiledTree struct {
 	// the blocked kernels route with one unpredictable-branch-free load:
 	// ref = kids[2*ref+b] where b∈{0,1} is the comparison outcome.
 	kids []int32
-	// thrLo32/thrHi32 bracket each threshold t in float32:
-	// f64(thrLo32[i]) ≤ t ≤ f64(thrHi32[i]). The quantized kernels decide
-	// v ≤ lo → left and v > hi → right from the narrow values alone and
-	// fall back to the exact float64 compare only inside the bracket, so
-	// quantized routing is leaf-identical by construction.
-	thrLo32 []float32
-	thrHi32 []float32
 
 	// Leaf boxes for memoized routing. Every leaf's region is an exact
 	// product of half-open intervals (lo_a, hi_a] — lo is the max of the
@@ -125,15 +111,6 @@ type CompiledTree struct {
 	packed   []uint64
 	rootExt  int64
 	packedOK bool
-
-	// quant selects the quantized-threshold blocked kernels. Off by
-	// default; enable per call site with WithQuantized.
-	quant bool
-
-	// colDirect selects the pre-transpose in-place columnar kernels
-	// instead of the tile-transpose fused route. Off by default; enable
-	// per call site with WithColumnarDirect (measurement escape hatch).
-	colDirect bool
 }
 
 // Compile lowers the tree into its flat evaluation form, folding the
@@ -190,7 +167,7 @@ func (t *Tree) CompileContext(ctx context.Context) (*CompiledTree, error) {
 	}
 
 	c := &CompiledTree{
-		Workers:    t.Opts.Workers,
+		workers:    t.Opts.Workers,
 		schema:     t.Schema,
 		width:      w,
 		smooth:     t.Opts.Smooth,
@@ -275,8 +252,8 @@ func (t *Tree) CompileContext(ctx context.Context) (*CompiledTree, error) {
 }
 
 // finish builds the derived routing structures the blocked and fused
-// kernels read — the interleaved kids table, the float32 threshold
-// brackets, the exact leaf boxes, and the packed route metadata. Called
+// kernels read — the interleaved kids table, the exact leaf boxes, and
+// the packed route metadata. Called
 // once after the node arrays are final, from compilation and artifact
 // load.
 func (c *CompiledTree) finish() {
@@ -284,20 +261,6 @@ func (c *CompiledTree) finish() {
 	for i := range c.attrs {
 		c.kids[2*i] = c.left[i]
 		c.kids[2*i+1] = c.right[i]
-	}
-	c.thrLo32 = make([]float32, len(c.thresholds))
-	c.thrHi32 = make([]float32, len(c.thresholds))
-	for i, t := range c.thresholds {
-		lo := float32(t)
-		for float64(lo) > t {
-			lo = math.Nextafter32(lo, float32(math.Inf(-1)))
-		}
-		hi := float32(t)
-		for float64(hi) < t {
-			hi = math.Nextafter32(hi, float32(math.Inf(1)))
-		}
-		c.thrLo32[i] = lo
-		c.thrHi32[i] = hi
 	}
 	c.finishBoxes()
 	c.finishPacked()
@@ -398,61 +361,18 @@ func accumulateModel(acc []float64, intercept *float64, m *linreg.Model, weight 
 // WithWorkers returns a view of the tree whose batch scoring uses the
 // given worker bound (0 = runtime.GOMAXPROCS, 1 = serial). The view is a
 // shallow copy sharing every node and coefficient slab with the receiver,
-// which is left untouched — the copy-on-set replacement for mutating the
-// Workers field on a tree shared across goroutines (a registry serving
-// many request goroutines, for example). Views are as immutable as the
-// tree itself and safe to create concurrently.
+// which is left untouched, so a tree shared across goroutines (a registry
+// serving many request goroutines, for example) never changes under its
+// readers. Views are as immutable as the tree itself and safe to create
+// concurrently.
 func (c *CompiledTree) WithWorkers(n int) *CompiledTree {
-	if n == c.Workers {
+	if n == c.workers {
 		return c
 	}
 	cp := *c
-	cp.Workers = n
+	cp.workers = n
 	return &cp
 }
-
-// WithQuantized returns a view whose batch scoring routes through the
-// float32 quantized-threshold kernels (see blocked.go). Quantized routing
-// is exactly leaf-identical to the float64 kernels — samples landing
-// inside a threshold's float32 bracket fall back to the exact compare —
-// so predictions are bit-identical; the narrow thresholds halve the
-// routing table's memory traffic. Like WithWorkers, the view shares all
-// node and coefficient slabs with the receiver, which is left untouched.
-func (c *CompiledTree) WithQuantized(on bool) *CompiledTree {
-	if on == c.quant {
-		return c
-	}
-	cp := *c
-	cp.quant = on
-	return &cp
-}
-
-// Quantized reports whether batch scoring uses the float32
-// quantized-threshold kernels.
-func (c *CompiledTree) Quantized() bool { return c.quant }
-
-// WithColumnarDirect returns a view whose columnar batch scoring walks
-// the columns in place through the pre-transpose broadcast kernels
-// instead of gathering tiles into row scratch for the fused row kernels
-// (see transpose.go). The direct route is the measurement reference the
-// roofline harness and the columnar benchmarks compare against — it is
-// ~4× slower on fused-kernel hardware and its dot product folds in a
-// different association order, so it matches per-sample Predict to 1e-9
-// rather than bitwise (leaf assignment is exact either way). Row-major
-// scoring is unaffected. Like WithWorkers, the view shares every slab
-// with the receiver, which is left untouched.
-func (c *CompiledTree) WithColumnarDirect(on bool) *CompiledTree {
-	if on == c.colDirect {
-		return c
-	}
-	cp := *c
-	cp.colDirect = on
-	return &cp
-}
-
-// ColumnarDirect reports whether columnar batch scoring uses the
-// in-place pre-transpose kernels.
-func (c *CompiledTree) ColumnarDirect() bool { return c.colDirect }
 
 // Schema returns the schema the tree was trained under.
 func (c *CompiledTree) Schema() *dataset.Schema { return c.schema }
@@ -560,25 +480,35 @@ func (c *CompiledTree) checkDataset(d *dataset.Dataset) error {
 // Large batches are scored in laneBlock-sample blocks across the worker
 // pool — each node's (attr, threshold) pair is loaded once per block
 // instead of once per sample; see blocked.go. The sample rows must match
-// the schema width; see PredictDatasetChecked for the validating entry
-// point.
+// the schema width; PredictDatasetCheckedContext is the validating,
+// cancellable entry point.
 func (c *CompiledTree) PredictDataset(d *dataset.Dataset) []float64 {
-	out, err := c.PredictDatasetContext(context.Background(), d)
+	out, err := c.predictDataset(context.Background(), d)
 	if err != nil {
 		panic(err) // unreachable without cancellation or a contained panic
 	}
 	return out
 }
 
-// PredictDatasetContext is PredictDataset with cooperative cancellation:
-// scoring workers pull fixed chunks and check the context at every chunk
+// PredictDatasetCheckedContext validates the dataset against the compiled
+// schema (width of the schema and of every sample row) before predicting
+// — the safe entry point for datasets loaded from external files. Scoring
+// workers pull fixed chunks and check the context at every chunk
 // boundary, so a canceled context returns a wrapped ctx.Err() within one
-// chunk of work; a panicking worker is contained and returned as an error.
-// The chunk size is a multiple of the lane block, so block boundaries —
-// and with them the exact floating-point schedule — are identical at
-// every worker count.
-func (c *CompiledTree) PredictDatasetContext(ctx context.Context, d *dataset.Dataset) ([]float64, error) {
-	workers := effectiveWorkers(c.Workers)
+// chunk of work; a panicking worker is contained and returned as an
+// error. The chunk size is a multiple of the lane block, so block
+// boundaries — and with them the exact floating-point schedule — are
+// identical at every worker count.
+func (c *CompiledTree) PredictDatasetCheckedContext(ctx context.Context, d *dataset.Dataset) ([]float64, error) {
+	if err := c.checkDataset(d); err != nil {
+		return nil, err
+	}
+	return c.predictDataset(ctx, d)
+}
+
+// predictDataset is the unvalidated body of the row-major entry points.
+func (c *CompiledTree) predictDataset(ctx context.Context, d *dataset.Dataset) ([]float64, error) {
+	workers := effectiveWorkers(c.workers)
 	_, span := obs.FromContext(ctx).StartSpan(ctx, "mtree.predict",
 		obs.A("compiled", true), obs.A("workers", workers))
 	span.SetRows(d.Len())
@@ -593,29 +523,21 @@ func (c *CompiledTree) PredictDatasetContext(ctx context.Context, d *dataset.Dat
 	return out, nil
 }
 
-// PredictColumns returns compiled predictions for n samples held in
-// column-major form: cols[j][i] is attribute j of sample i, the layout
-// dataset.Columns and the columnar binary format produce. Scoring
-// gathers laneBlock-sample tiles into pooled row-major scratch and runs
-// the fused row kernels (see transpose.go) — no full row-major matrix is
-// ever materialized, and predictions are bit-identical to per-sample
-// Predict at every worker count. All columns must have length n and
-// len(cols) must match the schema width; see PredictColumnsChecked for
-// the validating entry point.
-func (c *CompiledTree) PredictColumns(cols [][]float64, n int) []float64 {
-	out, err := c.PredictColumnsContext(context.Background(), cols, n)
-	if err != nil {
-		panic(err) // unreachable without cancellation or a contained panic
+// PredictColumnsCheckedContext returns compiled predictions for n samples
+// held in column-major form: cols[j][i] is attribute j of sample i, the
+// layout dataset.Columns and the columnar binary format produce. The
+// column set is validated first (schema width, equal column lengths).
+// Scoring gathers laneBlock-sample tiles into pooled row-major scratch
+// and runs the fused row kernels (see transpose.go) on the same block
+// grid as the row path — no full row-major matrix is ever materialized,
+// and predictions are bit-identical to per-sample Predict at every
+// worker count. Cancellation is checked at chunk boundaries, as in
+// PredictDatasetCheckedContext.
+func (c *CompiledTree) PredictColumnsCheckedContext(ctx context.Context, cols [][]float64, n int) ([]float64, error) {
+	if err := c.checkColumns(cols, n); err != nil {
+		return nil, err
 	}
-	return out
-}
-
-// PredictColumnsContext is PredictColumns with cooperative cancellation
-// at chunk boundaries, mirroring PredictDatasetContext. Predictions are
-// bit-identical to the row-major paths: each chunk is transposed into
-// row scratch on the same block grid and scored by the same kernels.
-func (c *CompiledTree) PredictColumnsContext(ctx context.Context, cols [][]float64, n int) ([]float64, error) {
-	workers := effectiveWorkers(c.Workers)
+	workers := effectiveWorkers(c.workers)
 	_, span := obs.FromContext(ctx).StartSpan(ctx, "mtree.predict",
 		obs.A("compiled", true), obs.A("columnar", true), obs.A("workers", workers))
 	span.SetRows(n)
@@ -628,25 +550,6 @@ func (c *CompiledTree) PredictColumnsContext(ctx context.Context, cols [][]float
 		return nil, fmt.Errorf("mtree: compiled columnar prediction: %w", err)
 	}
 	return out, nil
-}
-
-// PredictColumnsChecked validates the column set (schema width, equal
-// column lengths) before predicting — the safe entry point for columnar
-// files loaded from disk.
-func (c *CompiledTree) PredictColumnsChecked(cols [][]float64, n int) ([]float64, error) {
-	if err := c.checkColumns(cols, n); err != nil {
-		return nil, err
-	}
-	return c.PredictColumns(cols, n), nil
-}
-
-// PredictColumnsCheckedContext combines the validation of
-// PredictColumnsChecked with the cancellation of PredictColumnsContext.
-func (c *CompiledTree) PredictColumnsCheckedContext(ctx context.Context, cols [][]float64, n int) ([]float64, error) {
-	if err := c.checkColumns(cols, n); err != nil {
-		return nil, err
-	}
-	return c.PredictColumnsContext(ctx, cols, n)
 }
 
 // checkColumns validates a column-major sample matrix against the schema.
@@ -663,40 +566,15 @@ func (c *CompiledTree) checkColumns(cols [][]float64, n int) error {
 	return nil
 }
 
-// PredictDatasetChecked validates the dataset against the compiled schema
-// before predicting — the safe entry point for datasets loaded from
-// external files.
-func (c *CompiledTree) PredictDatasetChecked(d *dataset.Dataset) ([]float64, error) {
+// ClassifyLeavesCheckedContext validates the dataset against the compiled
+// schema, then returns the 1-based LeafID of every sample, batched and
+// cancellable like PredictDatasetCheckedContext — the entry point
+// characterization (leaf-occupancy profiles) runs on.
+func (c *CompiledTree) ClassifyLeavesCheckedContext(ctx context.Context, d *dataset.Dataset) ([]int, error) {
 	if err := c.checkDataset(d); err != nil {
 		return nil, err
 	}
-	return c.PredictDataset(d), nil
-}
-
-// PredictDatasetCheckedContext combines the validation of
-// PredictDatasetChecked with the cancellation of PredictDatasetContext.
-func (c *CompiledTree) PredictDatasetCheckedContext(ctx context.Context, d *dataset.Dataset) ([]float64, error) {
-	if err := c.checkDataset(d); err != nil {
-		return nil, err
-	}
-	return c.PredictDatasetContext(ctx, d)
-}
-
-// ClassifyLeaves returns the 1-based LeafID of every sample in d, batched
-// like PredictDataset. See ClassifyLeavesChecked for the validating entry
-// point.
-func (c *CompiledTree) ClassifyLeaves(d *dataset.Dataset) []int {
-	out, err := c.ClassifyLeavesContext(context.Background(), d)
-	if err != nil {
-		panic(err) // unreachable without cancellation or a contained panic
-	}
-	return out
-}
-
-// ClassifyLeavesContext is ClassifyLeaves with cooperative cancellation at
-// chunk boundaries.
-func (c *CompiledTree) ClassifyLeavesContext(ctx context.Context, d *dataset.Dataset) ([]int, error) {
-	workers := effectiveWorkers(c.Workers)
+	workers := effectiveWorkers(c.workers)
 	_, span := obs.FromContext(ctx).StartSpan(ctx, "mtree.classify", obs.A("workers", workers))
 	span.SetRows(d.Len())
 	defer span.End()
@@ -708,44 +586,4 @@ func (c *CompiledTree) ClassifyLeavesContext(ctx context.Context, d *dataset.Dat
 		return nil, fmt.Errorf("mtree: compiled leaf classification: %w", err)
 	}
 	return out, nil
-}
-
-// ClassifyLeavesColumns returns the 1-based LeafID of n column-major
-// samples (cols[j][i] is attribute j of sample i), batched like
-// PredictColumns. The column set must satisfy checkColumns; callers with
-// external data should validate with PredictColumnsChecked's discipline
-// first.
-func (c *CompiledTree) ClassifyLeavesColumns(ctx context.Context, cols [][]float64, n int) ([]int, error) {
-	workers := effectiveWorkers(c.Workers)
-	_, span := obs.FromContext(ctx).StartSpan(ctx, "mtree.classify",
-		obs.A("columnar", true), obs.A("workers", workers))
-	span.SetRows(n)
-	defer span.End()
-	out := make([]int, n)
-	err := forRangesChunkCtx(ctx, n, workers, blockedChunk, "mtree.predict.chunk", func(lo, hi int) {
-		c.classifyColsRange(cols, lo, hi, out)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("mtree: compiled columnar leaf classification: %w", err)
-	}
-	return out, nil
-}
-
-// ClassifyLeavesChecked validates the dataset against the compiled schema
-// before classifying every sample into its leaf — the batch entry point
-// characterization (leaf-occupancy profiles) runs on.
-func (c *CompiledTree) ClassifyLeavesChecked(d *dataset.Dataset) ([]int, error) {
-	if err := c.checkDataset(d); err != nil {
-		return nil, err
-	}
-	return c.ClassifyLeaves(d), nil
-}
-
-// ClassifyLeavesCheckedContext combines the validation of
-// ClassifyLeavesChecked with the cancellation of ClassifyLeavesContext.
-func (c *CompiledTree) ClassifyLeavesCheckedContext(ctx context.Context, d *dataset.Dataset) ([]int, error) {
-	if err := c.checkDataset(d); err != nil {
-		return nil, err
-	}
-	return c.ClassifyLeavesContext(ctx, d)
 }

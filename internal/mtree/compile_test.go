@@ -1,6 +1,7 @@
 package mtree
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -17,6 +18,26 @@ import (
 func closeEnough(a, b float64) bool {
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 	return math.Abs(a-b) <= 1e-9*scale
+}
+
+// classifyLeaves batch-classifies a dataset the test built valid.
+func classifyLeaves(t testing.TB, c *CompiledTree, d *dataset.Dataset) []int {
+	t.Helper()
+	leaves, err := c.ClassifyLeavesCheckedContext(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return leaves
+}
+
+// predictColumns scores a column set the test built valid.
+func predictColumns(t testing.TB, c *CompiledTree, cols [][]float64, n int) []float64 {
+	t.Helper()
+	preds, err := c.PredictColumnsCheckedContext(context.Background(), cols, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return preds
 }
 
 // assertCompiledEquivalent checks every per-sample and batch contract
@@ -45,9 +66,9 @@ func assertCompiledEquivalent(t *testing.T, tree *Tree, d *dataset.Dataset) {
 		}
 	}
 	for _, workers := range []int{0, 1, 4, 8} {
-		ctree.Workers = workers
-		preds := ctree.PredictDataset(d)
-		leaves := ctree.ClassifyLeaves(d)
+		cw := ctree.WithWorkers(workers)
+		preds := cw.PredictDataset(d)
+		leaves := classifyLeaves(t, cw, d)
 		if len(preds) != d.Len() || len(leaves) != d.Len() {
 			t.Fatalf("workers=%d: batch lengths %d/%d, want %d", workers, len(preds), len(leaves), d.Len())
 		}
@@ -172,18 +193,18 @@ func TestCompiledCheckedErrors(t *testing.T) {
 	}
 	bad := dataset.New(&dataset.Schema{Response: "y", Attributes: []string{"a"}})
 	_ = bad.Append(dataset.Sample{X: []float64{0.5}, Y: 1})
-	if _, err := ctree.PredictDatasetChecked(bad); err == nil {
-		t.Error("PredictDatasetChecked accepted a narrower schema")
+	if _, err := ctree.PredictDatasetCheckedContext(context.Background(), bad); err == nil {
+		t.Error("PredictDatasetCheckedContext accepted a narrower schema")
 	}
-	if _, err := ctree.ClassifyLeavesChecked(bad); err == nil {
-		t.Error("ClassifyLeavesChecked accepted a narrower schema")
+	if _, err := ctree.ClassifyLeavesCheckedContext(context.Background(), bad); err == nil {
+		t.Error("ClassifyLeavesCheckedContext accepted a narrower schema")
 	}
 	// A dataset whose declared schema matches but whose rows are ragged
 	// must be a diagnostic, not an out-of-range panic.
 	ragged := dataset.New(twoAttrSchema())
 	ragged.Samples = append(ragged.Samples, dataset.Sample{X: []float64{0.5}, Y: 1})
-	if _, err := ctree.PredictDatasetChecked(ragged); !errors.Is(err, ErrSampleWidth) {
-		t.Errorf("PredictDatasetChecked ragged: err = %v, want ErrSampleWidth", err)
+	if _, err := ctree.PredictDatasetCheckedContext(context.Background(), ragged); !errors.Is(err, ErrSampleWidth) {
+		t.Errorf("PredictDatasetCheckedContext ragged: err = %v, want ErrSampleWidth", err)
 	}
 }
 
@@ -222,9 +243,8 @@ func TestEvaluateSplitsParallelDeterministic(t *testing.T) {
 // One compiled tree shared read-only across many scoring goroutines — the
 // registry/serving access pattern — must be race-free, and WithWorkers
 // views must let each goroutine pick its own worker bound without
-// mutating the shared value. Run under -race this pins the
-// shared-mutable-Workers fix: the old pattern (every goroutine assigning
-// ctree.Workers before scoring) was a data race by construction.
+// mutating the shared value. Run under -race this pins that scoring
+// never writes to the shared tree.
 func TestCompiledSharedScoringNoRace(t *testing.T) {
 	d := piecewiseDataset(2000, 7, 0.2)
 	opts := DefaultOptions()
@@ -274,8 +294,8 @@ func TestCompiledSharedScoringNoRace(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if shared.Workers != tree.Opts.Workers {
-		t.Errorf("shared tree Workers mutated to %d", shared.Workers)
+	if shared.workers != tree.Opts.Workers {
+		t.Errorf("shared tree worker bound mutated to %d", shared.workers)
 	}
 }
 
@@ -290,15 +310,59 @@ func TestWithWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.WithWorkers(c.Workers) != c {
+	if c.WithWorkers(c.workers) != c {
 		t.Error("WithWorkers(same) should return the receiver")
 	}
-	v := c.WithWorkers(c.Workers + 3)
-	if v == c || v.Workers != c.Workers+3 {
-		t.Errorf("WithWorkers view wrong: %p vs %p, workers %d", v, c, v.Workers)
+	v := c.WithWorkers(c.workers + 3)
+	if v == c || v.workers != c.workers+3 {
+		t.Errorf("WithWorkers view wrong: %p vs %p, workers %d", v, c, v.workers)
 	}
 	x := make([]float64, c.NumAttrs())
 	if c.Predict(x) != v.Predict(x) {
 		t.Error("view predicts differently from its source")
+	}
+}
+
+// Compile takes the worker bound from Options.Workers and WithWorkers is
+// the only way to change it: every view leaves the receiver's bound as it
+// was, and batch scoring is bit-identical at every bound.
+func TestWithWorkersLeavesReceiverUnchanged(t *testing.T) {
+	d := piecewiseDataset(3000, 19, 0.2)
+	opts := DefaultOptions()
+	opts.MinLeaf = 10
+	opts.Workers = 3
+	tree, err := Build(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := tree.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.workers != 3 {
+		t.Fatalf("Compile set worker bound %d, want Options.Workers 3", c.workers)
+	}
+	cols := d.Columns()
+	want := make([]float64, d.Len())
+	for i, s := range d.Samples {
+		want[i] = c.Predict(s.X)
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		v := c.WithWorkers(workers)
+		if v.workers != workers {
+			t.Fatalf("WithWorkers(%d) view has bound %d", workers, v.workers)
+		}
+		if c.workers != 3 {
+			t.Fatalf("WithWorkers(%d) changed the receiver's bound to %d", workers, c.workers)
+		}
+		preds := v.PredictDataset(d)
+		colPreds := predictColumns(t, v, cols, d.Len())
+		for i := range want {
+			if math.Float64bits(preds[i]) != math.Float64bits(want[i]) ||
+				math.Float64bits(colPreds[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("workers=%d sample %d: rows %v, columns %v, Predict %v",
+					workers, i, preds[i], colPreds[i], want[i])
+			}
+		}
 	}
 }

@@ -62,8 +62,7 @@ func TestInjectedPredictChunkPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Activate(1, faultinject.Fault{Site: "mtree.predict.chunk", OnCall: 1, Panic: "chunk scorer down"})
-	ctree.Workers = 4
-	_, err = ctree.PredictDatasetContext(context.Background(), d)
+	_, err = ctree.WithWorkers(4).PredictDatasetCheckedContext(context.Background(), d)
 	var pe *robust.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a contained *robust.PanicError", err)
@@ -84,14 +83,14 @@ func TestInjectedSlowWorkerObservesCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Activate(1, faultinject.Fault{Site: "mtree.predict.chunk", DelayMilli: 20})
-	ctree.Workers = 4
+	ctree = ctree.WithWorkers(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, err = ctree.PredictDatasetContext(ctx, d)
+	_, err = ctree.PredictDatasetCheckedContext(ctx, d)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -16,17 +16,6 @@ package mtree
 // software emulation otherwise), which is what makes the Go fallback,
 // the AVX2 two-register kernel, and the AVX-512 fused kernel agree
 // bitwise rather than merely closely.
-//
-// The direct (pre-transpose) columnar kernels use a second fixed
-// schedule, dotColsSample: a single accumulator ascending the
-// attributes, because in-place column-major data is vectorized across
-// samples (coefficient broadcast), not across terms. Direct-columnar
-// predictions therefore agree with the row schedule to the usual float64
-// rounding (well inside the 1e-9 equivalence budget, with identical leaf
-// assignment), not bitwise. The default columnar route no longer scores
-// in place at all — it transposes tiles into row scratch (transpose.go)
-// and runs the row schedule, so it IS bitwise-identical; these kernels
-// serve the WithColumnarDirect measurement view.
 
 import "math"
 
@@ -58,25 +47,4 @@ func dotRow(intercept float64, coefs, x []float64) float64 {
 	// 8→4 (lane k + lane k+4), 4→2, 2→1.
 	s04, s15, s26, s37 := acc[0]+acc[4], acc[1]+acc[5], acc[2]+acc[6], acc[3]+acc[7]
 	return (s04 + s26) + (s15 + s37)
-}
-
-// dotColsSample computes intercept + Σ coefs[j]·cols[j][i] for one
-// column-major sample: a single accumulator ascending the attributes,
-// the per-sample order the broadcast columnar kernel preserves.
-func dotColsSample(intercept float64, coefs []float64, cols [][]float64, i int) float64 {
-	y := intercept
-	for j, cf := range coefs {
-		y = math.FMA(cf, cols[j][i], y)
-	}
-	return y
-}
-
-// dotColsRun scores n consecutive column-major samples starting at i0,
-// all landing in the same leaf, into out[:n] — one broadcastable
-// coefficient row across sequential column stretches. Each sample keeps
-// the dotColsSample schedule exactly.
-func dotColsRun(intercept float64, coefs []float64, cols [][]float64, i0, n int, out []float64) {
-	for k := 0; k < n; k++ {
-		out[k] = dotColsSample(intercept, coefs, cols, i0+k)
-	}
 }

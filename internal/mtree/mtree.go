@@ -838,20 +838,20 @@ func (t *Tree) ClassifyChecked(x []float64) (*Node, error) {
 	return t.Classify(x), nil
 }
 
-// ClassifyLeavesChecked validates the dataset against the tree's schema
-// and returns the 1-based LeafID of every sample — the interpreted
-// counterpart of CompiledTree.ClassifyLeavesChecked, kept for parity so
-// characterization can run on either form.
-func (t *Tree) ClassifyLeavesChecked(d *dataset.Dataset) ([]int, error) {
-	if err := t.checkWidth(d.Schema.NumAttrs()); err != nil {
+// ClassifyLeavesCheckedContext validates the dataset against the tree's
+// schema and returns the 1-based LeafID of every sample — the interpreted
+// counterpart of CompiledTree.ClassifyLeavesCheckedContext, kept for
+// parity so characterization can run on either form. The walk is serial;
+// the context is checked once, at entry.
+func (t *Tree) ClassifyLeavesCheckedContext(ctx context.Context, d *dataset.Dataset) ([]int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("mtree: leaf classification: %w", err)
+	}
+	if err := t.checkDatasetWidths(d); err != nil {
 		return nil, err
 	}
 	out := make([]int, d.Len())
 	for i := range d.Samples {
-		if len(d.Samples[i].X) != t.Schema.NumAttrs() {
-			return nil, fmt.Errorf("%w: sample %d has %d attributes, schema has %d",
-				ErrSampleWidth, i, len(d.Samples[i].X), t.Schema.NumAttrs())
-		}
 		out[i] = t.Classify(d.Samples[i].X).LeafID
 	}
 	return out, nil

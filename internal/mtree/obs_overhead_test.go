@@ -59,9 +59,7 @@ func TestDisabledRecorderOverhead(t *testing.T) {
 	}
 	predictCost := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ctree.PredictDatasetContext(ctx, d); err != nil {
-				b.Fatal(err)
-			}
+			ctree.PredictDataset(d)
 		}
 	})
 

@@ -2,6 +2,7 @@ package mtree
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -158,6 +159,24 @@ func TestCheckedPredictionErrors(t *testing.T) {
 	}
 	if len(ok) != d.Len() {
 		t.Fatalf("got %d predictions for %d samples", len(ok), d.Len())
+	}
+
+	if _, err := tree.ClassifyLeavesCheckedContext(context.Background(), narrow); !errors.Is(err, ErrSampleWidth) {
+		t.Errorf("ClassifyLeavesCheckedContext(narrow) = %v, want ErrSampleWidth", err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := tree.ClassifyLeavesCheckedContext(canceled, d); !errors.Is(err, context.Canceled) {
+		t.Errorf("ClassifyLeavesCheckedContext(canceled) = %v, want context.Canceled", err)
+	}
+	leaves, err := tree.ClassifyLeavesCheckedContext(context.Background(), d)
+	if err != nil {
+		t.Fatalf("ClassifyLeavesCheckedContext(valid) = %v", err)
+	}
+	for i, s := range d.Samples {
+		if want := tree.Classify(s.X).LeafID; leaves[i] != want {
+			t.Fatalf("sample %d: leaf %d, Classify %d", i, leaves[i], want)
+		}
 	}
 }
 

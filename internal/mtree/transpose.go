@@ -25,9 +25,7 @@ package mtree
 // Equivalence: the transpose moves bits, the row kernels do the math.
 // Fused-columnar predictions are therefore bit-identical to per-sample
 // Predict — same routing, same eight-lane FMA dot schedule — at every
-// worker count, quantized or not, asm or pure Go. (The pre-PR10 direct
-// kernels survive behind WithColumnarDirect for measurement; they carry
-// the old 1e-9 contract.)
+// worker count, asm or pure Go.
 
 import (
 	"unsafe"

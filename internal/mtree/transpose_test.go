@@ -1,7 +1,6 @@
 package mtree
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -125,11 +124,8 @@ func TestFusedColumnarTinyDatasets(t *testing.T) {
 		cols := sub.Columns()
 		for _, workers := range []int{1, 2, 4, 8} {
 			cw := c.WithWorkers(workers)
-			preds := cw.PredictColumns(cols, n)
-			leaves, err := cw.ClassifyLeavesColumns(context.Background(), cols, n)
-			if err != nil {
-				t.Fatal(err)
-			}
+			preds := predictColumns(t, cw, cols, n)
+			leaves := classifyLeaves(t, cw, sub)
 			for i := 0; i < n; i++ {
 				want := c.Predict(sub.Samples[i].X)
 				if math.Float64bits(preds[i]) != math.Float64bits(want) {
@@ -144,27 +140,19 @@ func TestFusedColumnarTinyDatasets(t *testing.T) {
 }
 
 // TestFusedColumnarBoundaryWorkers is the transpose-route slice of the
-// boundary battery: exact-threshold and ±1 ULP samples, quantized on and
-// off, workers 1/2/4/8 (run under -race in CI), fused-columnar vs
-// per-sample Predict, bitwise.
+// boundary battery: exact-threshold and ±1 ULP samples, workers 1/2/4/8
+// (run under -race in CI), fused-columnar vs per-sample Predict, bitwise.
 func TestFusedColumnarBoundaryWorkers(t *testing.T) {
 	for _, seed := range []uint64{101, 211} {
 		_, c := boundaryTree(t, seed)
 		d := boundaryDataset(t, c, seed+3)
 		cols := d.Columns()
-		for _, quant := range []bool{false, true} {
-			cq := c.WithQuantized(quant)
-			for _, workers := range []int{1, 2, 4, 8} {
-				cw := cq.WithWorkers(workers)
-				preds, err := cw.PredictColumnsCheckedContext(context.Background(), cols, d.Len())
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, s := range d.Samples {
-					if want := c.Predict(s.X); math.Float64bits(preds[i]) != math.Float64bits(want) {
-						t.Fatalf("seed=%d quant=%v workers=%d sample %d: %v, scalar %v",
-							seed, quant, workers, i, preds[i], want)
-					}
+		for _, workers := range []int{1, 2, 4, 8} {
+			preds := predictColumns(t, c.WithWorkers(workers), cols, d.Len())
+			for i, s := range d.Samples {
+				if want := c.Predict(s.X); math.Float64bits(preds[i]) != math.Float64bits(want) {
+					t.Fatalf("seed=%d workers=%d sample %d: %v, scalar %v",
+						seed, workers, i, preds[i], want)
 				}
 			}
 		}
@@ -239,7 +227,7 @@ func FuzzTransposeGather(f *testing.F) {
 		}
 		dcols := d.Columns()
 		for _, workers := range []int{1, 4} {
-			preds := c.WithWorkers(workers).PredictColumns(dcols, d.Len())
+			preds := predictColumns(t, c.WithWorkers(workers), dcols, d.Len())
 			for i, s := range d.Samples {
 				if want := c.Predict(s.X); math.Float64bits(preds[i]) != math.Float64bits(want) {
 					t.Fatalf("workers=%d sample %d: fused-columnar %v, scalar %v", workers, i, preds[i], want)

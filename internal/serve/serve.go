@@ -80,16 +80,6 @@ type Config struct {
 	// threshold anyway).
 	Workers int
 
-	// ColumnarMin is the coalesced batch size (total samples across the
-	// flushed jobs) at or above which the batcher scores through the
-	// fused-columnar route: rows are packed into one contiguous
-	// column-major slab and scored with PredictColumnsCheckedContext
-	// instead of scattering the kernel across per-request row
-	// allocations. Fused-columnar predictions are bit-identical to the
-	// row path, so the swap is invisible to clients. Default 256;
-	// negative disables the route entirely.
-	ColumnarMin int
-
 	// MaxBodyBytes caps request bodies (default 8 MiB).
 	MaxBodyBytes int64
 
@@ -114,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.ColumnarMin == 0 {
-		c.ColumnarMin = 256
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20

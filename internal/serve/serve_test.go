@@ -115,12 +115,17 @@ func rowsOf(d *dataset.Dataset, lo, hi int) [][]float64 {
 	return out
 }
 
-// Served scores must match the offline batch path bit-for-bit (well
-// inside the 1e-9 acceptance tolerance): the daemon is a transport
-// around PredictDataset, not a different scorer.
+// Served scores must match the offline batch path bit-for-bit: the
+// daemon is a transport around PredictDataset, not a different scorer,
+// and PredictDataset is itself bit-identical to per-sample Predict.
 func TestServedScoresMatchPredictDataset(t *testing.T) {
 	f := newFixture(t, Config{})
 	want := f.tree.PredictDataset(f.data)
+	for i, s := range f.data.Samples[:400] {
+		if p := f.tree.Predict(s.X); math.Float64bits(p) != math.Float64bits(want[i]) {
+			t.Fatalf("sample %d: PredictDataset %v, Predict %v", i, want[i], p)
+		}
+	}
 	for _, batch := range []int{1, 3, 16, 64, 200} {
 		for lo := 0; lo < 400; lo += batch {
 			hi := min(lo+batch, 400)
@@ -135,12 +140,90 @@ func TestServedScoresMatchPredictDataset(t *testing.T) {
 				t.Fatalf("response identity wrong: %+v", sr)
 			}
 			for i, got := range sr.Predictions {
-				w := want[lo+i]
-				scale := math.Max(1, math.Max(math.Abs(got), math.Abs(w)))
-				if math.Abs(got-w) > 1e-9*scale {
-					t.Fatalf("sample %d: served %v, PredictDataset %v", lo+i, got, w)
+				if math.Float64bits(got) != math.Float64bits(want[lo+i]) {
+					t.Fatalf("batch %d sample %d: served %v, PredictDataset %v", batch, lo+i, got, want[lo+i])
 				}
 			}
+		}
+	}
+}
+
+// TestColumnarRouteBitIdentical holds the sizes that once crossed the
+// batcher's column-major threshold (1, 7, 64, 300 rows) to the one
+// remaining route: each flush scores its rows in place, answers
+// bitwise equal to per-sample Predict, and no columnar batch counter
+// is exported.
+func TestColumnarRouteBitIdentical(t *testing.T) {
+	f := newFixture(t, Config{Recorder: obs.New()})
+	for _, batch := range []int{1, 7, 64, 300} {
+		status, sr, emsg := f.score(t, "cpu2006", rowsOf(f.data, 0, batch))
+		if status != http.StatusOK {
+			t.Fatalf("batch %d: status %d (%s)", batch, status, emsg)
+		}
+		if len(sr.Predictions) != batch {
+			t.Fatalf("batch %d: got %d predictions", batch, len(sr.Predictions))
+		}
+		for i, got := range sr.Predictions {
+			want := f.tree.Predict(f.data.Samples[i].X)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("batch %d sample %d: served %v, Predict %v", batch, i, got, want)
+			}
+		}
+	}
+
+	resp, err := http.Get(f.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var b bytes.Buffer
+	b.ReadFrom(resp.Body)
+	if !strings.Contains(b.String(), "specchard_batches_total 4\n") {
+		t.Fatalf("batch counter missing or wrong:\n%s", b.String())
+	}
+	if strings.Contains(b.String(), "columnar") {
+		t.Fatalf("metrics still export a columnar route:\n%s", b.String())
+	}
+}
+
+// A wide request coalesced with a concurrent narrow one is scored as one
+// batch, and both answer bit-identically to per-sample Predict. MaxBatch
+// is exactly the two requests' total, so the dispatcher flushes the
+// moment both are queued and the long BatchWait only bounds how far
+// apart they may arrive.
+func TestCoalescedWideBatchBitIdentical(t *testing.T) {
+	const wide, narrow = 600, 5
+	f := newFixture(t, Config{Recorder: obs.New(), MaxBatch: wide + narrow, BatchWait: 10 * time.Second})
+	spans := [][2]int{{0, wide}, {wide, wide + narrow}}
+	var wg sync.WaitGroup
+	for _, sp := range spans {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			status, sr, emsg := f.score(t, "cpu2006", rowsOf(f.data, lo, hi))
+			if status != http.StatusOK || len(sr.Predictions) != hi-lo {
+				t.Errorf("rows [%d:%d]: status %d, %d predictions (%s)", lo, hi, status, len(sr.Predictions), emsg)
+				return
+			}
+			for i, got := range sr.Predictions {
+				if want := f.tree.Predict(f.data.Samples[lo+i].X); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("sample %d: served %v, Predict %v", lo+i, got, want)
+					return
+				}
+			}
+		}(sp[0], sp[1])
+	}
+	wg.Wait()
+	resp, err := http.Get(f.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var b bytes.Buffer
+	b.ReadFrom(resp.Body)
+	for _, want := range []string{"specchard_batches_total 1\n", fmt.Sprintf("specchard_last_batch_samples %d\n", wide+narrow)} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("requests were not coalesced into one batch: metrics lack %q:\n%s", want, b.String())
 		}
 	}
 }

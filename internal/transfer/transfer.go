@@ -79,19 +79,12 @@ type Options struct {
 }
 
 // Predictor is the model-side dependency of an assessment: a trained
-// model that can score a dataset with input validation. Both the pointer
-// form (*mtree.Tree) and the compiled batch form (*mtree.CompiledTree)
-// satisfy it; assessments are prediction-heavy, so callers holding a
-// trained tree should compile it once and pass the compiled form.
+// model that can score a dataset with input validation and cooperative
+// cancellation. Both the pointer form (*mtree.Tree) and the compiled
+// batch form (*mtree.CompiledTree) satisfy it; assessments are
+// prediction-heavy, so callers holding a trained tree should compile it
+// once and pass the compiled form.
 type Predictor interface {
-	PredictDatasetChecked(d *dataset.Dataset) ([]float64, error)
-}
-
-// ContextPredictor is the cancellable refinement of Predictor. Both
-// *mtree.Tree and *mtree.CompiledTree satisfy it; AssessContext uses it
-// when available so a canceled context stops the prediction pass at a
-// chunk boundary rather than after the whole test set is scored.
-type ContextPredictor interface {
 	PredictDatasetCheckedContext(ctx context.Context, d *dataset.Dataset) ([]float64, error)
 }
 
@@ -103,8 +96,8 @@ func Assess(model Predictor, train, test *dataset.Dataset, trainName, testName s
 }
 
 // AssessContext is Assess with cooperative cancellation: the prediction
-// pass observes the context when the model supports it (ContextPredictor),
-// and a canceled context is returned as a wrapped ctx.Err().
+// pass observes the context, and a canceled context is returned as a
+// wrapped ctx.Err().
 func AssessContext(ctx context.Context, model Predictor, train, test *dataset.Dataset, trainName, testName string, opts Options) (*Assessment, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -144,12 +137,7 @@ func AssessContext(ctx context.Context, model Predictor, train, test *dataset.Da
 	if a.SampleTest, err = stats.TwoSampleTTest(trainY, testY); err != nil {
 		return nil, err
 	}
-	var pred []float64
-	if cp, ok := model.(ContextPredictor); ok {
-		pred, err = cp.PredictDatasetCheckedContext(ctx, test)
-	} else {
-		pred, err = model.PredictDatasetChecked(test)
-	}
+	pred, err := model.PredictDatasetCheckedContext(ctx, test)
 	if err != nil {
 		return nil, fmt.Errorf("transfer: applying %s model to %s: %w", trainName, testName, err)
 	}
