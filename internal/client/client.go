@@ -37,11 +37,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
+
+	"specchar/internal/jsonscan"
 )
 
 // DeadlineHeader carries the request's remaining time budget in integer
@@ -176,7 +179,10 @@ func New(cfg Config) (*Client, error) {
 
 // ScoreResult is the success body of POST /v1/score.
 type ScoreResult struct {
-	Model       string    `json:"model"`
+	Model string `json:"model"`
+	// Version is the registry version that actually scored the batch —
+	// under a hot-swap this may be newer than the version visible when
+	// the request was admitted.
 	Version     int       `json:"version"`
 	Predictions []float64 `json:"predictions"`
 }
@@ -379,7 +385,69 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		_, err := io.Copy(io.Discard, resp.Body)
 		return err
 	}
+	if res, ok := out.(*ScoreResult); ok {
+		return decodeScoreResult(resp.Body, resp.ContentLength, res)
+	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// decodeScoreResult reads a score response body into one buffer and
+// scans the form the daemon writes; any other body, and any body whose
+// read failed, is replayed into encoding/json, which decodes it exactly
+// as it would have read it from the response.
+func decodeScoreResult(r io.Reader, sizeHint int64, out *ScoreResult) error {
+	raw, err := jsonscan.ReadBody(r, sizeHint, math.MaxInt64)
+	if err == nil && scanScoreResult(raw, out) {
+		return nil
+	}
+	return json.NewDecoder(jsonscan.Replay(raw, err)).Decode(out)
+}
+
+// scanScoreResult decodes raw into out if it is an object whose keys are
+// exactly "model", "version" and "predictions" (each at most once, any
+// order), the model an ASCII string without escapes, the version an
+// integer, the predictions an array of numbers, followed by nothing but
+// whitespace, and reports whether it was. The daemon's 200 body is
+// always in this form; out is left untouched otherwise.
+func scanScoreResult(raw []byte, out *ScoreResult) bool {
+	s := jsonscan.New(raw)
+	var res ScoreResult
+	var sawModel, sawVersion, sawPredictions bool
+	ok := s.Object(func(key []byte) bool {
+		switch string(key) {
+		case "model":
+			model, ok := s.PlainString()
+			if sawModel || !ok {
+				return false
+			}
+			sawModel, res.Model = true, string(model)
+			return true
+		case "version":
+			if sawVersion {
+				return false
+			}
+			sawVersion = true
+			version, ok := s.Int()
+			res.Version = version
+			return ok
+		case "predictions":
+			if sawPredictions {
+				return false
+			}
+			sawPredictions = true
+			// An empty array decodes to an empty, non-nil slice, as
+			// encoding/json decodes it.
+			preds, ok := s.Floats([]float64{})
+			res.Predictions = preds
+			return ok
+		}
+		return false
+	})
+	if !ok || !s.End() {
+		return false
+	}
+	*out = res
+	return true
 }
 
 // retryable reports whether the failure is worth another attempt:

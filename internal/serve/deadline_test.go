@@ -16,7 +16,7 @@ import (
 
 // scoreWithHeader posts one score request with extra headers, returning
 // status and the decoded bodies.
-func (f *fixture) scoreWithHeader(t testing.TB, model string, rows [][]float64, hdr map[string]string) (int, scoreResponse, *http.Response) {
+func (f *fixture) scoreWithHeader(t testing.TB, model string, rows [][]float64, hdr map[string]string) (int, client.ScoreResult, *http.Response) {
 	t.Helper()
 	body, err := json.Marshal(scoreRequest{Model: model, Samples: rows})
 	if err != nil {
@@ -35,7 +35,7 @@ func (f *fixture) scoreWithHeader(t testing.TB, model string, rows [][]float64, 
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sr scoreResponse
+	var sr client.ScoreResult
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 			t.Fatal(err)

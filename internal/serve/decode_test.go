@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"unsafe"
 
 	"specchar/internal/suites"
@@ -124,7 +125,7 @@ func TestDecodeReplaysReadError(t *testing.T) {
 	body := `{"model":"cpu2006","samples":[[1,2,3,4],[5,6,7,8]]}`
 	for _, limit := range []int64{0, 10, int64(len(body)) - 1} {
 		src := io.LimitReader(strings.NewReader(body), limit)
-		cut := io.MultiReader(src, errReader{io.ErrClosedPipe})
+		cut := io.MultiReader(src, iotest.ErrReader(io.ErrClosedPipe))
 		_, err := decodeScoreRequest(cut, int64(len(body)), limit)
 		if err == nil || !strings.Contains(err.Error(), io.ErrClosedPipe.Error()) {
 			t.Errorf("limit %d: error %v, want the read error", limit, err)

@@ -208,16 +208,6 @@ type scoreRequest struct {
 	Samples [][]float64 `json:"samples"`
 }
 
-// scoreResponse is the success body of POST /v1/score.
-type scoreResponse struct {
-	Model string `json:"model"`
-	// Version is the registry version that actually scored the batch —
-	// under a hot-swap this may be newer than the version visible when
-	// the request was admitted.
-	Version     int       `json:"version"`
-	Predictions []float64 `json:"predictions"`
-}
-
 // errorResponse is the body of every non-2xx response.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -277,7 +267,8 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.rec.Counter("specchard_samples_scored_total").Add(int64(len(req.Samples)))
-	s.writeJSON(w, http.StatusOK, scoreResponse{Model: req.Model, Version: version, Predictions: out})
+	res := client.ScoreResult{Model: req.Model, Version: version, Predictions: out}
+	s.writeBody(w, http.StatusOK, encodeScoreResult(&res))
 }
 
 // requestContext derives the scoring context: an explicit client
@@ -420,9 +411,18 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 		// A struct of one string always marshals.
 		body, _ = json.Marshal(errorResponse{Error: fmt.Sprintf("encoding response: %v", err)})
 	}
+	s.writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody writes an encoded JSON body with its status. The body is
+// complete before the header goes out, so it is framed by its
+// Content-Length rather than chunked, and a client can read it into one
+// buffer of the right size.
+func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	if _, err := w.Write(append(body, '\n')); err != nil {
+	if _, err := w.Write(body); err != nil {
 		s.count("specchard_request_errors_total")
 	}
 }

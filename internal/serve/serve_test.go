@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"specchar/internal/client"
 	"specchar/internal/dataset"
 	"specchar/internal/mtree"
 	"specchar/internal/obs"
@@ -84,7 +85,7 @@ func newFixture(t testing.TB, cfg Config) *fixture {
 
 // score posts one request and decodes the response, returning the HTTP
 // status and either the score body or the error body.
-func (f *fixture) score(t testing.TB, model string, rows [][]float64) (int, scoreResponse, string) {
+func (f *fixture) score(t testing.TB, model string, rows [][]float64) (int, client.ScoreResult, string) {
 	t.Helper()
 	body, err := json.Marshal(scoreRequest{Model: model, Samples: rows})
 	if err != nil {
@@ -96,7 +97,7 @@ func (f *fixture) score(t testing.TB, model string, rows [][]float64) (int, scor
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
-		var sr scoreResponse
+		var sr client.ScoreResult
 		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func (f *fixture) score(t testing.TB, model string, rows [][]float64) (int, scor
 	}
 	var er errorResponse
 	_ = json.NewDecoder(resp.Body).Decode(&er)
-	return resp.StatusCode, scoreResponse{}, er.Error
+	return resp.StatusCode, client.ScoreResult{}, er.Error
 }
 
 func rowsOf(d *dataset.Dataset, lo, hi int) [][]float64 {
@@ -277,13 +278,13 @@ func TestScoreValidation(t *testing.T) {
 
 func TestScoreAcceptedForms(t *testing.T) {
 	f := newFixture(t, Config{})
-	post := func(body string) (int, scoreResponse, string) {
+	post := func(body string) (int, client.ScoreResult, string) {
 		resp, err := http.Post(f.ts.URL+"/v1/score", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var sr scoreResponse
+		var sr client.ScoreResult
 		var er errorResponse
 		if resp.StatusCode == http.StatusOK {
 			if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
