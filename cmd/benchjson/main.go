@@ -11,16 +11,10 @@
 // how scripts/bench.sh produces the checked-in BENCH_*.json evidence
 // files.
 //
-// Two further flags serve the perf-regression workflow:
-//
-//   - -roofline file embeds a roofline report (the JSON written by
-//     `specchar bench -roofline -roofline-out file`) under the report's
-//     "roofline" key, so one evidence file carries both the ns/op table
-//     and the machine's measured bandwidth ceilings.
-//   - -gate name=max_ns (repeatable) turns the report into a check: after
-//     writing it, benchjson exits 1 if any gated benchmark's ns/op
-//     exceeds its bound. scripts/bench.sh derives the bounds from a
-//     checked-in baseline with a noise multiplier.
+// With -gate name=max_ns (repeatable) the report is also a check: after
+// writing it, benchjson exits 1 if any gated benchmark's ns/op exceeds
+// its bound. scripts/bench.sh derives the bounds from a checked-in
+// baseline with a noise multiplier.
 package main
 
 import (
@@ -31,8 +25,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-
-	"specchar/internal/roofline"
 )
 
 // Result is one benchmark's measurement, plus the optional baseline
@@ -53,7 +45,6 @@ type Report struct {
 	GoArch     string            `json:"goarch,omitempty"`
 	CPU        string            `json:"cpu,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
-	Roofline   *roofline.Report  `json:"roofline,omitempty"`
 }
 
 // baselines accumulates repeated -baseline name=ns flags.
@@ -127,7 +118,6 @@ func main() {
 	gates := baselines{}
 	label := flag.String("label", "", "free-form label recorded in the report")
 	out := flag.String("o", "", "output file (default stdout)")
-	rooflinePath := flag.String("roofline", "", "embed this roofline JSON report (from specchar bench -roofline-out)")
 	flag.Var(base, "baseline", "baseline as name=ns_per_op; repeatable")
 	flag.Var(gates, "gate", "regression gate as name=max_ns_per_op; exit 1 if exceeded; repeatable")
 	flag.Parse()
@@ -152,19 +142,6 @@ func main() {
 	if len(rep.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
-	}
-	if *rooflinePath != "" {
-		raw, err := os.ReadFile(*rooflinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		var rl roofline.Report
-		if err := json.Unmarshal(raw, &rl); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: parsing roofline %s: %v\n", *rooflinePath, err)
-			os.Exit(1)
-		}
-		rep.Roofline = &rl
 	}
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

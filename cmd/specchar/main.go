@@ -530,19 +530,11 @@ func runBench(ctx context.Context, args []string) error {
 	suiteFlag := fs.String("suite", "cpu2006", "suite (cpu2000|cpu2006|cpu2017|cpu2026|omp2001)")
 	nameFlag := fs.String("name", "", "benchmark name, e.g. 429.mcf (empty = all)")
 	quickFlag := fs.Bool("quick", false, "reduced-scale run")
-	rooflineFlag := fs.Bool("roofline", false, "measure STREAM bandwidth and scoring-kernel roofline instead of suite reports")
-	rooflineOut := fs.String("roofline-out", "", "write the roofline report as JSON to this file (with -roofline)")
-	rooflineElems := fs.Int("roofline-elems", 0, "elements per STREAM probe buffer (0 = default 8Mi)")
-	rooflineRounds := fs.Int("roofline-rounds", 0, "probe/timing rounds, best-of (0 = default 5)")
-	rooflineWorkers := fs.Int("roofline-workers", 1, "scoring workers for roofline timings (1 = serial)")
 	fs.Parse(args)
 
 	cfg := specchar.DefaultConfig()
 	if *quickFlag {
 		cfg = specchar.QuickConfig()
-	}
-	if *rooflineFlag {
-		return runRoofline(ctx, cfg, *rooflineElems, *rooflineRounds, *rooflineWorkers, *rooflineOut)
 	}
 	study, err := specchar.RunContext(ctx, cfg)
 	if err != nil {

@@ -104,7 +104,7 @@ func TestPredictDatasetContextCancel(t *testing.T) {
 		cancel()
 		baseline := runtime.NumGoroutine()
 		tree.Opts.Workers = w
-		if _, err := tree.PredictDatasetContext(ctx, d); !errors.Is(err, context.Canceled) {
+		if _, err := tree.PredictDatasetCheckedContext(ctx, d); !errors.Is(err, context.Canceled) {
 			t.Errorf("tree workers=%d: err = %v, want context.Canceled", w, err)
 		}
 		cw := ctree.WithWorkers(w)
@@ -118,7 +118,7 @@ func TestPredictDatasetContextCancel(t *testing.T) {
 	}
 }
 
-// Context-aware batch prediction must agree exactly with the plain entry
+// Checked, context-aware batch prediction must agree exactly with the plain entry
 // point at every worker count — chunks are pulled dynamically but write
 // disjoint ranges, so the output is positionally deterministic.
 func TestPredictDatasetContextMatchesPlain(t *testing.T) {
@@ -130,7 +130,7 @@ func TestPredictDatasetContextMatchesPlain(t *testing.T) {
 	want := tree.PredictDataset(d)
 	for _, w := range workerCounts {
 		tree.Opts.Workers = w
-		got, err := tree.PredictDatasetContext(context.Background(), d)
+		got, err := tree.PredictDatasetCheckedContext(context.Background(), d)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

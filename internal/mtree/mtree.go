@@ -972,7 +972,7 @@ func forRangesChunkCtx(ctx context.Context, n, workers, chunk int, site string, 
 // writes a disjoint range of the output, so the result is identical to a
 // serial pass.
 func (t *Tree) PredictDataset(d *dataset.Dataset) []float64 {
-	out, err := t.PredictDatasetContext(context.Background(), d)
+	out, err := t.predictDatasetContext(context.Background(), d)
 	if err != nil {
 		// Unreachable without cancellation or a worker panic; a contained
 		// panic resumes here rather than silently returning zeros.
@@ -981,10 +981,10 @@ func (t *Tree) PredictDataset(d *dataset.Dataset) []float64 {
 	return out
 }
 
-// PredictDatasetContext is PredictDataset with cooperative cancellation at
+// predictDatasetContext is PredictDataset with cooperative cancellation at
 // chunk boundaries: a canceled context returns a wrapped ctx.Err() and a
 // panicking scoring worker is contained and returned as an error.
-func (t *Tree) PredictDatasetContext(ctx context.Context, d *dataset.Dataset) ([]float64, error) {
+func (t *Tree) predictDatasetContext(ctx context.Context, d *dataset.Dataset) ([]float64, error) {
 	workers := effectiveWorkers(t.Opts.Workers)
 	_, span := obs.FromContext(ctx).StartSpan(ctx, "mtree.predict",
 		obs.A("compiled", false), obs.A("workers", workers))
@@ -1017,23 +1017,15 @@ func (t *Tree) checkDatasetWidths(d *dataset.Dataset) error {
 	return nil
 }
 
-// PredictDatasetChecked validates the dataset against the tree's schema
-// (width of the schema and of every sample row) before predicting — the
-// safe entry point for datasets loaded from external files.
-func (t *Tree) PredictDatasetChecked(d *dataset.Dataset) ([]float64, error) {
-	if err := t.checkDatasetWidths(d); err != nil {
-		return nil, err
-	}
-	return t.PredictDataset(d), nil
-}
-
-// PredictDatasetCheckedContext combines the validation of
-// PredictDatasetChecked with the cancellation of PredictDatasetContext.
+// PredictDatasetCheckedContext validates the dataset against the tree's
+// schema (width of the schema and of every sample row) before predicting
+// with cancellation at chunk boundaries — the safe entry point for
+// datasets loaded from external files.
 func (t *Tree) PredictDatasetCheckedContext(ctx context.Context, d *dataset.Dataset) ([]float64, error) {
 	if err := t.checkDatasetWidths(d); err != nil {
 		return nil, err
 	}
-	return t.PredictDatasetContext(ctx, d)
+	return t.predictDatasetContext(ctx, d)
 }
 
 // NumNodes returns the total node count of the pointer tree, interior

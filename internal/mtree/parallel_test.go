@@ -149,13 +149,13 @@ func TestCheckedPredictionErrors(t *testing.T) {
 	if err := narrow.Append(dataset.Sample{X: []float64{0.5}, Y: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tree.PredictDatasetChecked(narrow); !errors.Is(err, ErrSampleWidth) {
-		t.Errorf("PredictDatasetChecked(narrow) = %v, want ErrSampleWidth", err)
+	if _, err := tree.PredictDatasetCheckedContext(context.Background(), narrow); !errors.Is(err, ErrSampleWidth) {
+		t.Errorf("PredictDatasetCheckedContext(narrow) = %v, want ErrSampleWidth", err)
 	}
 
-	ok, err := tree.PredictDatasetChecked(d)
+	ok, err := tree.PredictDatasetCheckedContext(context.Background(), d)
 	if err != nil {
-		t.Fatalf("PredictDatasetChecked(valid) = %v", err)
+		t.Fatalf("PredictDatasetCheckedContext(valid) = %v", err)
 	}
 	if len(ok) != d.Len() {
 		t.Fatalf("got %d predictions for %d samples", len(ok), d.Len())

@@ -1,7 +1,10 @@
 #!/bin/sh
-# Runs the build/predict benchmarks and writes a JSON evidence file via
-# cmd/benchjson. The checked-in BENCH_PR10.json was produced by this
-# script.
+# Runs the build/predict microbenchmarks, writes a JSON evidence file via
+# cmd/benchjson, and gates the fused-columnar scoring kernel. End-to-end
+# numbers (study, induce, serve-small, serve-bulk) come from
+# benchmark/run.sh, not from this script. The checked-in BENCH_PR*.json
+# files are history and are never overwritten implicitly: the output
+# path is a required argument.
 #
 # Baselines embedded for speedup bookkeeping:
 #   - Build*: BENCH_PR5.json measurements (per-node quicksort, row-major
@@ -19,35 +22,31 @@
 # regresses past it. Container timing noise on this family is ±10-20%,
 # so the default multiplier is 1.5x.
 #
-# Roofline: unless ROOFLINE=0, the script first runs
-# `specchar bench -roofline` (STREAM copy/scale/triad probes plus
-# scoring-kernel bandwidth accounting) and embeds the report under the
-# evidence file's "roofline" key.
-#
-# Usage: scripts/bench.sh [output.json]
-# Env: BENCHTIME=6x ROOFLINE=1 COLUMNAR_BASELINE_NS=140000 NOISE_PCT=150
+# Usage: scripts/bench.sh output.json
+# Env: BENCHTIME=6x COLUMNAR_BASELINE_NS=140000 NOISE_PCT=150
 set -eu
+
+if [ $# -ne 1 ] || [ -z "$1" ]; then
+    echo "usage: scripts/bench.sh output.json" >&2
+    exit 2
+fi
+# Resolve the output path against the caller's directory, not the repo root.
+case "$1" in
+/*) out="$1" ;;
+*) out="$PWD/$1" ;;
+esac
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR10.json}"
 benchtime="${BENCHTIME:-6x}"
-roofline="${ROOFLINE:-1}"
 columnar_baseline="${COLUMNAR_BASELINE_NS:-140000}"
 noise_pct="${NOISE_PCT:-150}"
 gate=$((columnar_baseline * noise_pct / 100))
-
-rjson=""
-if [ "$roofline" = "1" ]; then
-    rjson="$(mktemp)"
-    trap 'rm -f "$rjson"' EXIT
-    go run ./cmd/specchar bench -roofline -roofline-out "$rjson" >&2
-fi
 
 go test -run '^$' -bench 'BenchmarkBuild|BenchmarkPredict' \
     -benchtime "$benchtime" -benchmem . |
     tee /dev/stderr |
     go run ./cmd/benchjson \
-        -label "PR10 fused-columnar tile transpose + memory roofline" \
+        -label "build/predict microbenchmarks with the fused-columnar kernel gate" \
         -baseline BenchmarkBuildSerial=268747454 \
         -baseline BenchmarkBuildParallel=270228908 \
         -baseline BenchmarkPredictDatasetCompiledSerial=290942 \
@@ -55,6 +54,5 @@ go test -run '^$' -bench 'BenchmarkBuild|BenchmarkPredict' \
         -baseline BenchmarkPredictColumnarSerial=296340 \
         -baseline BenchmarkPredictColumnarParallel=312678 \
         -gate "BenchmarkPredictColumnarSerial=$gate" \
-        ${rjson:+-roofline "$rjson"} \
         -o "$out"
 echo "wrote $out" >&2
